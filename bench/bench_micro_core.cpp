@@ -37,9 +37,9 @@ void BM_EpsilonGreedySelect(benchmark::State& state) {
 BENCHMARK(BM_EpsilonGreedySelect)->Arg(1)->Arg(7)->Arg(32);
 
 void BM_EpsilonGreedyObserve(benchmark::State& state) {
-  // observe() includes the full least-squares refit (Alg. 1 line 11); cost
-  // grows with the number of stored observations. The history is built
-  // once and copied per iteration (the copy is untimed).
+  // observe() is the incremental RLS form of the Alg. 1 line 11 refit;
+  // its cost stays flat as the history grows. The history is built once
+  // and copied per iteration (the copy is untimed).
   const auto history = static_cast<std::size_t>(state.range(0));
   bw::Rng rng(2);
   bw::core::DecayingEpsilonGreedy base(bw::hw::ndp_catalog(), 7, {});

@@ -9,14 +9,14 @@
 namespace bw::core {
 
 ArmBank::ArmBank(const hw::HardwareCatalog& catalog, std::size_t num_features,
-                 const linalg::FitOptions& fit, bool exact_history,
-                 const ToleranceParams& tolerance, const hw::ResourceWeights& weights)
+                 const linalg::FitOptions& fit, const ToleranceParams& tolerance,
+                 const hw::ResourceWeights& weights)
     : tolerance_(tolerance), dim_(num_features) {
   BW_CHECK_MSG(!catalog.empty(), "policy needs at least one arm");
   BW_CHECK_MSG(num_features > 0, "policy needs at least one feature");
   arms_.reserve(catalog.size());
   for (std::size_t i = 0; i < catalog.size(); ++i) {
-    arms_.emplace_back(num_features, fit, exact_history);
+    arms_.emplace_back(num_features, fit);
   }
   resource_costs_ = catalog.resource_costs(weights);
   // Fresh arms are all-zero (w = b = 0), so the zero-initialized plane is
@@ -86,8 +86,6 @@ void ArmBank::variance_proxy_all(const FeatureVector& x,
   BW_CHECK_MSG(x.size() == dim_, "feature vector size mismatch");
   BW_CHECK_MSG(out.size() == arms_.size(),
                "variance_proxy_all: output size mismatch");
-  BW_CHECK_MSG(!arms_.front().exact_history(),
-               "variance proxy requires the incremental backend");
   static thread_local std::vector<double> xa;
   static thread_local std::vector<double> px;
   linalg::with_intercept_into(x, xa);

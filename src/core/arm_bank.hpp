@@ -32,12 +32,11 @@ namespace bw::core {
 
 class ArmBank {
  public:
-  /// One LinearArmModel per catalog arm; `fit` + `exact_history` select the
-  /// regression backend exactly as LinearArmModel does, and resource costs
+  /// One LinearArmModel per catalog arm, built from `fit`; resource costs
   /// are precomputed from the catalog for the tolerant tie-break.
   ArmBank(const hw::HardwareCatalog& catalog, std::size_t num_features,
-          const linalg::FitOptions& fit, bool exact_history,
-          const ToleranceParams& tolerance, const hw::ResourceWeights& weights);
+          const linalg::FitOptions& fit, const ToleranceParams& tolerance,
+          const hw::ResourceWeights& weights);
 
   std::size_t size() const { return arms_.size(); }
   /// Feature count d. Stored at construction — never derived from
@@ -53,7 +52,7 @@ class ArmBank {
   double predict(ArmIndex arm, const FeatureVector& x) const;
 
   /// x̃^T P_arm x̃ — the posterior-width quadratic form LinUCB's confidence
-  /// bound and Thompson's posterior draw share. Incremental backend only.
+  /// bound and Thompson's posterior draw share.
   double variance_proxy(ArmIndex arm, const FeatureVector& x) const;
 
   /// R̂ for every arm in one pass over the theta plane (scalar per-arm walk
@@ -64,8 +63,7 @@ class ArmBank {
 
   /// x̃^T P_arm x̃ for every arm with the intercept augmentation and the
   /// P x̃ scratch hoisted out of the loop — bitwise equal to calling
-  /// variance_proxy per arm. Incremental backend only; `out` must have
-  /// size() entries.
+  /// variance_proxy per arm. `out` must have size() entries.
   void variance_proxy_all(const FeatureVector& x, std::span<double> out) const;
 
   /// Tolerant-greedy choice with its predicted runtime — one predict_all

@@ -8,9 +8,9 @@ namespace bw::core {
 
 namespace {
 
-/// The incremental backend's ridge prior mirrors the batch path: an
-/// explicit fit.ridge wins, otherwise the rank-deficiency fallback ridge
-/// (which is what the batch fit applies on every underdetermined refit).
+/// The ridge prior mirrors a batch fit: an explicit fit.ridge wins,
+/// otherwise the rank-deficiency fallback ridge (which is what the batch
+/// fit applies on every underdetermined system).
 double rls_prior_ridge(const linalg::FitOptions& fit) {
   if (fit.ridge > 0.0) return fit.ridge;
   if (fit.fallback_ridge > 0.0) return fit.fallback_ridge;
@@ -19,24 +19,16 @@ double rls_prior_ridge(const linalg::FitOptions& fit) {
 
 }  // namespace
 
-LinearArmModel::LinearArmModel(std::size_t dim, linalg::FitOptions fit,
-                               bool exact_history)
-    : dim_(dim),
-      fit_(fit),
-      exact_history_(uses_exact_history(fit, exact_history)),
-      rls_(dim > 0 ? dim : 1, rls_prior_ridge(fit), fit.forgetting) {
+LinearArmModel::LinearArmModel(std::size_t dim, const linalg::FitOptions& fit)
+    : dim_(dim), rls_(dim > 0 ? dim : 1, rls_prior_ridge(fit), fit.forgetting) {
   BW_CHECK_MSG(dim > 0, "arm model needs at least one feature");
-  // The batch-QR backend refits the full history with uniform weights; a
-  // forgetting factor has no exact batch counterpart here, so λ < 1 is an
-  // incremental-backend-only option.
-  BW_CHECK_MSG(!exact_history_ || fit.forgetting == 1.0,
-               "arm model: forgetting (lambda < 1) requires the incremental backend");
+  BW_CHECK_MSG(fit.intercept,
+               "arm model: fit.intercept = false is not supported (the recursive "
+               "update always fits the intercept b)");
   reset();
 }
 
 void LinearArmModel::reset() {
-  xs_.clear();
-  ys_.clear();
   rls_.reset();
   model_.weights.assign(dim_, 0.0);  // paper init: w_i = 0, b_i = 0
   model_.bias = 0.0;
@@ -47,22 +39,8 @@ void LinearArmModel::observe(std::span<const double> x, double runtime_s) {
   BW_CHECK_MSG(x.size() == dim_, "arm model: feature size mismatch");
   BW_CHECK_MSG(linalg::all_finite(x), "arm model: non-finite feature");
   BW_CHECK_MSG(std::isfinite(runtime_s), "arm model: non-finite runtime");
-  if (exact_history_) {
-    xs_.emplace_back(x.begin(), x.end());
-    ys_.push_back(runtime_s);
-    refit();
-    return;
-  }
   rls_.update(x, runtime_s);
   sync_from_rls();
-}
-
-void LinearArmModel::refit() {
-  linalg::Matrix design(xs_.size(), dim_);
-  for (std::size_t r = 0; r < xs_.size(); ++r) {
-    for (std::size_t c = 0; c < dim_; ++c) design(r, c) = xs_[r][c];
-  }
-  model_ = linalg::fit_linear(design, ys_, fit_).model;
 }
 
 void LinearArmModel::sync_from_rls() {
@@ -73,40 +51,17 @@ void LinearArmModel::sync_from_rls() {
 }
 
 void LinearArmModel::merge(const LinearArmModel& other, const LinearArmModel* base) {
-  BW_CHECK_MSG(other.dim_ == dim_, "arm model: merge dimension mismatch");
-  BW_CHECK_MSG(other.exact_history_ == exact_history_,
-               "arm model: merge requires matching backends");
-  if (base != nullptr) {
-    BW_CHECK_MSG(base->dim_ == dim_ && base->exact_history_ == exact_history_,
-                 "arm model: merge base backend or dimension mismatch");
-  }
-  if (exact_history_) {
-    const std::size_t skip = base != nullptr ? base->xs_.size() : 0;
-    BW_CHECK_MSG(skip <= other.xs_.size(),
-                 "arm model: merge base is not a prefix of other's history");
-    if (skip == other.xs_.size()) return;  // no new rows (also: other empty)
-    for (std::size_t i = skip; i < other.xs_.size(); ++i) {
-      xs_.push_back(other.xs_[i]);
-      ys_.push_back(other.ys_[i]);
-    }
-    refit();
-    return;
-  }
   rls_.merge(other.rls_, base != nullptr ? &base->rls_ : nullptr);
   sync_from_rls();
 }
 
 void LinearArmModel::restore_stats(const linalg::Matrix& p,
                                    const linalg::Vector& theta, std::size_t n) {
-  BW_CHECK_MSG(!exact_history_,
-               "arm model: restore_stats requires the incremental backend");
   rls_.restore(p, theta, n);
   sync_from_rls();
 }
 
 ArmStats LinearArmModel::export_stats() const {
-  BW_CHECK_MSG(!exact_history_,
-               "arm model: export_stats requires the incremental backend");
   return ArmStats{rls_.precision_inverse(), rls_.theta(), rls_.n_observations()};
 }
 
@@ -116,8 +71,6 @@ double LinearArmModel::predict(std::span<const double> x) const {
 }
 
 double LinearArmModel::variance_proxy(std::span<const double> x) const {
-  BW_CHECK_MSG(!exact_history_,
-               "arm model: variance_proxy requires the incremental backend");
   return rls_.variance_proxy(x);
 }
 

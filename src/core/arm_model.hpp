@@ -4,19 +4,15 @@
 // initialized to w = 0, b = 0 and updated after every observation
 // (Alg. 1 lines 1-2, 10-11).
 //
-// Two interchangeable backends:
-//   * incremental (default) — a Sherman–Morrison recursive least-squares
-//     update (linalg/rls): O(d^2) per observe(), no per-row history kept.
-//     Mathematically the ridge solution on the full stream with the prior
-//     ridge fit.ridge (or fit.fallback_ridge when ridge is 0), i.e. the
-//     same estimate the batch path's underdetermined fallback computes.
-//   * exact_history (opt-in) — the paper's literal Alg. 1 line 11: store
-//     every observation and rerun the batch QR fit each time. O(n d^2) per
-//     observe(). Kept for the paper-figure benchmarks and as the ground
-//     truth the incremental path is property-tested against.
+// Alg. 1 line 11 refits the arm by least squares after every observation.
+// The model computes that ridge solution incrementally with a Sherman–
+// Morrison recursive least-squares update (linalg/rls): O(d^2) per
+// observe(), no per-row history kept. The prior ridge is fit.ridge, or
+// fit.fallback_ridge when ridge is 0 — the ridge a batch fit applies to
+// underdetermined systems. tests/test_incremental_equivalence.cpp checks
+// it against a per-observation batch refit (linalg::fit_linear).
 
 #include <span>
-#include <vector>
 
 #include "core/types.hpp"
 #include "linalg/lstsq.hpp"
@@ -24,10 +20,10 @@
 
 namespace bw::core {
 
-/// Compact copy of an incremental arm's sufficient statistics (theta, P, n).
-/// This is the in-memory analogue of a banditware-state v2 stats record:
-/// O(d^2) to take, no text round-trip. The async cross-shard sync pipeline
-/// stages these under brief shared locks and fuses them off the hot path.
+/// Compact copy of an arm's sufficient statistics (theta, P, n). This is
+/// the in-memory analogue of a banditware-state v2 stats record: O(d^2) to
+/// take, no text round-trip. The async cross-shard sync pipeline stages
+/// these under brief shared locks and fuses them off the hot path.
 struct ArmStats {
   linalg::Matrix p;      ///< (X^T X + ridge I)^{-1}, intercept-augmented
   linalg::Vector theta;  ///< [w; b]
@@ -36,29 +32,16 @@ struct ArmStats {
 
 class LinearArmModel {
  public:
-  /// `dim` = number of workflow features m. FitOptions control the
-  /// regression; `exact_history` selects the batch-QR backend. A fit with
-  /// intercept=false always uses the batch backend (the recursive update
-  /// hard-codes the intercept column).
-  explicit LinearArmModel(std::size_t dim, linalg::FitOptions fit = {},
-                          bool exact_history = false);
+  /// `dim` = number of workflow features m. FitOptions set the ridge prior
+  /// and the forgetting factor. fit.intercept = false is rejected with
+  /// InvalidArgument: the recursive update always fits the intercept b.
+  explicit LinearArmModel(std::size_t dim, const linalg::FitOptions& fit = {});
 
   std::size_t dim() const { return dim_; }
-  std::size_t count() const {
-    return exact_history_ ? xs_.size() : rls_.n_observations();
-  }
-  bool exact_history() const { return exact_history_; }
-
-  /// The backend-selection rule the constructor applies — the single source
-  /// of truth for callers that must know the effective backend before any
-  /// model exists (e.g. the serve layer rejecting async sync for batch-
-  /// backend configs at construction time).
-  static bool uses_exact_history(const linalg::FitOptions& fit, bool exact_history) {
-    return exact_history || !fit.intercept;
-  }
+  std::size_t count() const { return rls_.n_observations(); }
 
   /// Records an observation and updates the model (Alg. 1 line 10-11).
-  /// O(d^2) incremental, O(n d^2) with exact_history.
+  /// O(d^2).
   void observe(std::span<const double> x, double runtime_s);
 
   /// Current prediction ŵ^T x + b̂; 0 before any observation (w=b=0 init).
@@ -68,54 +51,36 @@ class LinearArmModel {
 
   /// Posterior-width quadratic form x̃^T P x̃ (intercept-augmented) — what
   /// LinUCB's confidence bound and Thompson's posterior draw both consume.
-  /// Incremental backend only: a history-backed arm keeps no P. Throws
-  /// InvalidArgument in exact_history mode.
   double variance_proxy(std::span<const double> x) const;
 
   const linalg::LinearModel& model() const { return model_; }
 
-  /// Sufficient statistics of the incremental backend (P, theta, n) — the
-  /// banditware-state v2 payload. Only meaningful when !exact_history().
+  /// Sufficient statistics (P, theta, n) — the banditware-state v2 payload.
   const linalg::RecursiveLeastSquares& rls() const { return rls_; }
 
-  /// Reinstates saved sufficient statistics (incremental backend only).
-  /// Throws InvalidArgument on shape mismatch or in exact_history mode.
+  /// Reinstates saved sufficient statistics. Throws InvalidArgument on
+  /// shape mismatch or non-finite entries.
   void restore_stats(const linalg::Matrix& p, const linalg::Vector& theta,
                      std::size_t n);
 
-  /// Copies out the sufficient statistics (incremental backend only) —
-  /// O(d^2), no text serialization. Throws InvalidArgument in exact_history
-  /// mode (a history-backed arm has no compact statistics to export; the
-  /// serve-layer async sync is rejected for such configs up front).
+  /// Copies out the sufficient statistics — O(d^2), no text serialization.
   ArmStats export_stats() const;
 
-  /// Folds another arm's evidence into this one. Incremental arms fuse
-  /// sufficient statistics (RLS::merge — exact under the shared ridge);
-  /// exact_history arms concatenate histories and refit once. With `base`
+  /// Folds another arm's evidence into this one by fusing sufficient
+  /// statistics (RLS::merge — exact under the shared ridge). With `base`
   /// (the common ancestor both models grew from, e.g. the state shared at
   /// the last replica sync) only the evidence beyond the ancestor is
-  /// merged, so repeated syncs never double-count; for exact_history the
-  /// ancestor's rows must be a prefix of `other`'s. Both models (and the
-  /// base) must use the same backend and dimension.
+  /// merged, so repeated syncs never double-count. Dimension, ridge and
+  /// forgetting factor must match.
   void merge(const LinearArmModel& other, const LinearArmModel* base = nullptr);
-
-  /// Stored observations — exposed for serialization. Empty in incremental
-  /// mode (the hot path deliberately keeps no history).
-  const std::vector<FeatureVector>& observed_features() const { return xs_; }
-  const std::vector<double>& observed_runtimes() const { return ys_; }
 
   void reset();
 
  private:
-  void refit();
   void sync_from_rls();
 
   std::size_t dim_;
-  linalg::FitOptions fit_;
-  bool exact_history_;
-  linalg::RecursiveLeastSquares rls_;  ///< incremental backend
-  std::vector<FeatureVector> xs_;      ///< exact_history backend only
-  std::vector<double> ys_;
+  linalg::RecursiveLeastSquares rls_;
   linalg::LinearModel model_;  ///< always reflects the latest update
 };
 

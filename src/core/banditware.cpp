@@ -14,16 +14,7 @@ BanditWare::ProductionPolicy BanditWare::make_policy(const hw::HardwareCatalog& 
   if (config.policy_kind == PolicyKind::kEpsilonGreedy) {
     return DecayingEpsilonGreedy(catalog, num_features, config.policy);
   }
-  // LinUCB / Thompson read the RLS posterior for their exploration width;
-  // a history-backed arm has none. intercept=false forces the batch backend
-  // too, so the effective-backend rule is the thing to check.
-  BW_CHECK_MSG(
-      !LinearArmModel::uses_exact_history(config.policy.fit, config.policy.exact_history),
-      "policy '" + to_string(config.policy_kind) +
-          "' requires the incremental arm backend (exact_history, and "
-          "intercept=false which forces it, are epsilon-greedy only)");
-  ArmBank bank(catalog, num_features, config.policy.fit,
-               /*exact_history=*/false, config.policy.tolerance,
+  ArmBank bank(catalog, num_features, config.policy.fit, config.policy.tolerance,
                config.policy.resource_weights);
   if (config.policy_kind == PolicyKind::kLinUcb) {
     return LinUcb(std::move(bank), config.alpha);
@@ -134,14 +125,10 @@ void BanditWare::merge_from(const BanditWare& other, const BanditWare* base) {
   const auto& mine = config_.policy;
   const auto& theirs = other.config_.policy;
   BW_CHECK_MSG(mine.fit.ridge == theirs.fit.ridge &&
-                   mine.fit.fallback_ridge == theirs.fit.fallback_ridge &&
-                   mine.fit.intercept == theirs.fit.intercept,
+                   mine.fit.fallback_ridge == theirs.fit.fallback_ridge,
                "merge_from: fit options mismatch — fusion would not be exact");
   BW_CHECK_MSG(mine.fit.forgetting == theirs.fit.forgetting,
                "merge_from: forgetting factor mismatch — fusion would not be exact");
-  BW_CHECK_MSG(banked().arm_model(0).exact_history() ==
-                   other.banked().arm_model(0).exact_history(),
-               "merge_from: model backends mismatch");
   switch (config_.policy_kind) {
     case PolicyKind::kEpsilonGreedy:
       BW_CHECK_MSG(mine.initial_epsilon == theirs.initial_epsilon &&
@@ -293,7 +280,7 @@ std::string BanditWare::save_state() const {
 }
 
 BanditWare BanditWare::load_state(const std::string& text) {
-  // Thin wrapper over io::load_state, which auto-detects text v1-v3 and
+  // Thin wrapper over io::load_state, which auto-detects text v1-v4 and
   // the binary container from the leading bytes.
   std::istringstream is(text, std::ios::binary);
   return io::load_state(is);

@@ -44,10 +44,7 @@ class FrozenModel;  // core/frozen_model.hpp: immutable greedy-surface snapshot
 
 struct BanditWareConfig {
   /// Which learning policy drives next()/observe(). All policies share the
-  /// substrate options in `policy` (fit, tolerance, resource weights);
-  /// non-ε-greedy policies require the incremental backend (exact_history
-  /// and intercept=false are rejected — only ε-greedy can replay raw
-  /// histories).
+  /// substrate options in `policy` (fit, tolerance, resource weights).
   PolicyKind policy_kind = PolicyKind::kEpsilonGreedy;
   /// ε-greedy schedule plus the substrate options every policy shares.
   EpsilonGreedyConfig policy{};
@@ -60,7 +57,6 @@ struct BanditWareConfig {
 /// serialization, no catalog copy. The serve layer's async cross-shard
 /// sync stages these under brief shared locks and runs the fusion math
 /// (Cholesky recovery, baseline subtraction) entirely off the hot path.
-/// Only meaningful for the incremental backend (see export_stats()).
 struct BanditWareStats {
   double epsilon = 1.0;  ///< ε-greedy exploration state (0 for other kinds)
   std::vector<ArmStats> arms;  ///< indexed like the catalog
@@ -108,23 +104,20 @@ class BanditWare {
   /// sufficient statistics (exact under the shared ridge prior — merging
   /// two independently trained instances reproduces the single-stream
   /// result; see tests/test_merge_equivalence.cpp). Arms are matched by
-  /// hardware name; arms only `other` knows are appended (union of arms),
-  /// and exact_history arms merge by history concatenation. Both instances
-  /// must run the same policy kind with matching policy scalars (ε schedule
-  /// for ε-greedy, alpha for LinUCB, posterior scale for Thompson) — all
-  /// three kinds sit on the same information-form statistics, so the arm
-  /// algebra is shared, but cross-policy fusion is rejected. ε is combined
-  /// multiplicatively (ε_merged = ε_self · ε_other / ε₀), matching one
-  /// decay per absorbed observation. Pass the common ancestor both
-  /// instances grew from as `base` (replica sync) so shared evidence is
-  /// counted once. Requires matching feature names, fit options, backend,
-  /// and policy; throws InvalidArgument otherwise.
+  /// hardware name; arms only `other` knows are appended (union of arms).
+  /// Both instances must run the same policy kind with matching policy
+  /// scalars (ε schedule for ε-greedy, alpha for LinUCB, posterior scale
+  /// for Thompson) — all three kinds sit on the same information-form
+  /// statistics, so the arm algebra is shared, but cross-policy fusion is
+  /// rejected. ε is combined multiplicatively (ε_merged = ε_self · ε_other
+  /// / ε₀), matching one decay per absorbed observation. Pass the common
+  /// ancestor both instances grew from as `base` (replica sync) so shared
+  /// evidence is counted once. Requires matching feature names, fit
+  /// options, and policy; throws InvalidArgument otherwise.
   void merge_from(const BanditWare& other, const BanditWare* base = nullptr);
 
   /// Copies out the learned state as sufficient statistics — O(arms * d^2),
-  /// no text snapshot. Throws InvalidArgument when the arms run the
-  /// exact_history backend (their history is their state; there is nothing
-  /// compact to export).
+  /// no text snapshot.
   BanditWareStats export_stats() const;
 
   /// Rebuilds an instance from export_stats() output plus the immutable
@@ -178,22 +171,21 @@ class BanditWare {
 
   /// Plain-text state snapshot: config + catalog + per-arm sufficient
   /// statistics (theta, P, n) + ε. Cost is O(arms * d^2) independent of how
-  /// many observations were absorbed. Arms running in exact_history mode
-  /// serialize their raw observation rows instead (their history *is* their
-  /// state). ε-greedy instances write format `banditware-state v2` —
-  /// byte-identical to the pre-policy-axis writer, so existing snapshots
-  /// and golden fixtures stay stable — while LinUCB/Thompson instances
-  /// write the `v3` superset, which adds one `policy` line carrying the
-  /// kind token and its scalar.
+  /// many observations were absorbed. ε-greedy instances write format
+  /// `banditware-state v2` — byte-identical to the pre-policy-axis writer,
+  /// so existing snapshots and golden fixtures stay stable — while
+  /// LinUCB/Thompson instances write the `v3` superset, which adds one
+  /// `policy` line carrying the kind token and its scalar.
   ///
   /// Back-compat convenience over the io layer: equivalent to
   /// `io::save_state(os, *this, io::Format::kText)`. The binary format
   /// (and format auto-detection) lives in src/io/state_io.hpp.
   std::string save_state() const;
 
-  /// Rebuilds an instance from a serialized snapshot, any format: text v3
-  /// (policy token), v2, legacy v1 (raw observation rows, restored by
-  /// replay; v1/v2 always load as ε-greedy), or the binary container —
+  /// Rebuilds an instance from a serialized snapshot, any format: text v4
+  /// (lambda line), v3 (policy token), v2, legacy v1 (raw observation rows,
+  /// restored by replay; v1/v2 always load as ε-greedy), or the binary
+  /// container —
   /// a thin wrapper over `io::load_state`, which auto-detects from the
   /// leading bytes. Throws ParseError on malformed input.
   static BanditWare load_state(const std::string& text);

@@ -13,8 +13,8 @@ ArmBank make_bank(const hw::HardwareCatalog& catalog, std::size_t num_features,
   BW_CHECK_MSG(config.initial_epsilon >= 0.0 && config.initial_epsilon <= 1.0,
                "initial epsilon must be in [0,1]");
   BW_CHECK_MSG(config.decay > 0.0 && config.decay <= 1.0, "decay must be in (0,1]");
-  return ArmBank(catalog, num_features, config.fit, config.exact_history,
-                 config.tolerance, config.resource_weights);
+  return ArmBank(catalog, num_features, config.fit, config.tolerance,
+                 config.resource_weights);
 }
 
 }  // namespace

@@ -22,11 +22,6 @@ struct EpsilonGreedyConfig {
   ToleranceParams tolerance{};   ///< tr / ts of the tolerant selection
   linalg::FitOptions fit{};      ///< per-arm regression options
   hw::ResourceWeights resource_weights{};  ///< efficiency ordering
-  /// Opt into the paper's literal batch refit (store every observation,
-  /// rerun QR each observe). Default is the O(d^2) incremental backend;
-  /// both produce the same predictions within float tolerance (see
-  /// tests/test_incremental_equivalence.cpp).
-  bool exact_history = false;
 };
 
 class DecayingEpsilonGreedy final : public BankedPolicy {

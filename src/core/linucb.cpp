@@ -15,8 +15,7 @@ ArmBank make_bank(const hw::HardwareCatalog& catalog, std::size_t num_features,
                   const LinUcbConfig& config) {
   linalg::FitOptions fit;
   fit.ridge = config.ridge;
-  return ArmBank(catalog, num_features, fit, /*exact_history=*/false,
-                 config.tolerance, config.resource_weights);
+  return ArmBank(catalog, num_features, fit, config.tolerance, config.resource_weights);
 }
 
 }  // namespace
@@ -28,9 +27,6 @@ LinUcb::LinUcb(const hw::HardwareCatalog& catalog, std::size_t num_features,
 LinUcb::LinUcb(ArmBank bank, double alpha)
     : BankedPolicy(std::move(bank)), alpha_(alpha) {
   BW_CHECK_MSG(alpha_ >= 0.0, "alpha must be non-negative");
-  BW_CHECK_MSG(!std::as_const(bank_).arm(0).exact_history(),
-               "linucb requires the incremental backend (the confidence "
-               "width reads the RLS posterior)");
 }
 
 double LinUcb::lcb(ArmIndex arm, const FeatureVector& x) const {

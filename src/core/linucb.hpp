@@ -25,8 +25,7 @@ class LinUcb final : public BankedPolicy {
 
   /// Production-stack path: a pre-built substrate (the BanditWare facade
   /// constructs it from the shared BanditWareConfig fit/tolerance options)
-  /// plus this policy's own scalar. Requires the incremental backend (the
-  /// confidence width reads the RLS posterior).
+  /// plus this policy's own scalar.
   LinUcb(ArmBank bank, double alpha);
 
   ArmIndex select(const FeatureVector& x, Rng& rng) override;

@@ -15,8 +15,7 @@ ArmBank make_bank(const hw::HardwareCatalog& catalog, std::size_t num_features,
                   const ThompsonConfig& config) {
   linalg::FitOptions fit;
   fit.ridge = config.ridge;
-  return ArmBank(catalog, num_features, fit, /*exact_history=*/false,
-                 config.tolerance, config.resource_weights);
+  return ArmBank(catalog, num_features, fit, config.tolerance, config.resource_weights);
 }
 
 }  // namespace
@@ -28,9 +27,6 @@ LinearThompson::LinearThompson(const hw::HardwareCatalog& catalog,
 LinearThompson::LinearThompson(ArmBank bank, double posterior_scale)
     : BankedPolicy(std::move(bank)), posterior_scale_(posterior_scale) {
   BW_CHECK_MSG(posterior_scale_ > 0.0, "posterior scale must be positive");
-  BW_CHECK_MSG(!std::as_const(bank_).arm(0).exact_history(),
-               "thompson requires the incremental backend (the posterior "
-               "draw reads the RLS covariance)");
 }
 
 ArmIndex LinearThompson::select(const FeatureVector& x, Rng& rng) {

@@ -25,8 +25,7 @@ class LinearThompson final : public BankedPolicy {
 
   /// Production-stack path: a pre-built substrate (the BanditWare facade
   /// constructs it from the shared BanditWareConfig fit/tolerance options)
-  /// plus this policy's own scalar. Requires the incremental backend (the
-  /// posterior draw reads the RLS covariance).
+  /// plus this policy's own scalar.
   LinearThompson(ArmBank bank, double posterior_scale);
 
   ArmIndex select(const FeatureVector& x, Rng& rng) override;

@@ -41,11 +41,6 @@ FleetNode::FleetNode(serve::BanditServer server, core::BanditWareConfig bandit_c
       server_(std::move(server)),
       bandit_config_(std::move(bandit_config)),
       local_bank_(server_.catalog(), server_.feature_names(), bandit_config_) {
-  // Gossip ships sufficient statistics; the exact-history backend has none
-  // to ship (it replays raw rows), so the fleet requires the incremental
-  // backend — same constraint as the serve layer's async sync.
-  BW_CHECK_MSG(!bandit_config_.policy.exact_history,
-               "fleet: gossip requires the incremental arm backend");
   wire_config_ = wire_config_of(server_, bandit_config_);
   prior_arms_ = local_bank_.export_stats().arms;
   origins_.emplace(self_origin(), prior_arms_);

@@ -6,8 +6,9 @@
 //
 // Packet types, `banditware-state` payload (kind 1):
 //   0x01 header     config + epsilon + feature names + arm catalog
-//   0x02 arm stats  arm index, n, theta[d+1], P[(d+1)^2]  (incremental)
-//   0x03 arm rows   arm index, row count, rows of [x..., y] (exact_history)
+//   0x02 arm stats  arm index, n, theta[d+1], P[(d+1)^2]
+//   0x03 arm rows   arm index, row count, rows of [x..., y]; load-only,
+//                   replayed (legacy snapshots with the exact_history flag)
 //   0x04 lambda     forgetting factor λ (f64); written before the header,
 //                   only when λ != 1 — λ=1 streams stay byte-identical
 //   0x7F end        number of arm packets written
@@ -89,8 +90,7 @@ hw::HardwareSpec get_spec(PayloadReader& reader) {
 /// The BanditWareConfig scalars both header packets share. The fit options
 /// and resource weights are construction parameters, not learned state —
 /// they are not serialized, matching the text formats.
-void put_bandit_config(std::string& out, const core::BanditWareConfig& config,
-                       bool effective_exact_history) {
+void put_bandit_config(std::string& out, const core::BanditWareConfig& config) {
   put_u8(out, static_cast<std::uint8_t>(config.policy_kind));
   put_f64(out, config.alpha);
   put_f64(out, config.posterior_scale);
@@ -98,12 +98,16 @@ void put_bandit_config(std::string& out, const core::BanditWareConfig& config,
   put_f64(out, config.policy.decay);
   put_f64(out, config.policy.tolerance.ratio);
   put_f64(out, config.policy.tolerance.seconds);
-  put_u8(out, effective_exact_history ? 1 : 0);
+  put_u8(out, 0);  // legacy exact_history flag: row packets are load-only
 }
 
-core::BanditWareConfig get_bandit_config(PayloadReader& reader,
+/// `lambda` comes from the optional lambda packet that precedes the header;
+/// `exact_history` receives the legacy flag announcing 0x03 row packets.
+core::BanditWareConfig get_bandit_config(PayloadReader& reader, double lambda,
+                                         bool& exact_history,
                                          void (*raise)(const std::string&)) {
   core::BanditWareConfig config;
+  config.policy.fit.forgetting = lambda;
   const std::uint8_t kind = reader.get_u8();
   if (kind > static_cast<std::uint8_t>(PolicyKind::kThompson)) {
     raise("unknown policy kind");
@@ -115,7 +119,12 @@ core::BanditWareConfig get_bandit_config(PayloadReader& reader,
   config.policy.decay = reader.get_f64();
   config.policy.tolerance.ratio = reader.get_f64();
   config.policy.tolerance.seconds = reader.get_f64();
-  config.policy.exact_history = reader.get_u8() != 0;
+  exact_history = reader.get_u8() != 0;
+  // Row-carrying snapshots were only ever written for ε-greedy at λ = 1.
+  if (exact_history &&
+      (lambda != 1.0 || config.policy_kind != PolicyKind::kEpsilonGreedy)) {
+    raise("exact_history rows require an epsilon-greedy snapshot with lambda 1");
+  }
   // Scalar ranges validated here, like the text reader: a corrupted
   // snapshot surfaces as ParseError, never a constructor's InvalidArgument.
   if (config.policy_kind == PolicyKind::kLinUcb &&
@@ -179,7 +188,6 @@ hw::HardwareCatalog get_catalog(PayloadReader& reader,
 void write_bandit_packets(std::ostream& os, const BanditWare& bandit) {
   const core::BanditWareConfig& config = bandit.config();
   const core::BankedPolicy& policy = StateAccess::banked(bandit);
-  const bool effective_exact_history = policy.arm_model(0).exact_history();
 
   write_container_magic(os, PayloadKind::kBanditWareState);
 
@@ -189,7 +197,7 @@ void write_bandit_packets(std::ostream& os, const BanditWare& bandit) {
     write_packet(os, kBanditLambda, payload);
     payload.clear();
   }
-  put_bandit_config(payload, config, effective_exact_history);
+  put_bandit_config(payload, config);
   // Like the text writer, the epsilon line is live state for ε-greedy and
   // the schedule origin for the other kinds.
   put_f64(payload, config.policy_kind == PolicyKind::kEpsilonGreedy
@@ -200,25 +208,14 @@ void write_bandit_packets(std::ostream& os, const BanditWare& bandit) {
   write_packet(os, kBanditHeader, payload);
 
   for (ArmIndex arm = 0; arm < bandit.num_arms(); ++arm) {
-    const core::LinearArmModel& model = policy.arm_model(arm);
+    const auto& rls = policy.arm_model(arm).rls();
     payload.clear();
     put_u32(payload, static_cast<std::uint32_t>(arm));
-    if (model.exact_history()) {
-      put_u64(payload, model.count());
-      for (std::size_t i = 0; i < model.count(); ++i) {
-        const core::FeatureVector& x = model.observed_features()[i];
-        put_f64_array(payload, x.data(), x.size());
-        put_f64(payload, model.observed_runtimes()[i]);
-      }
-      write_packet(os, kArmRows, payload);
-    } else {
-      const auto& rls = model.rls();
-      put_u64(payload, model.count());
-      put_f64_array(payload, rls.theta().data(), rls.theta().size());
-      put_f64_array(payload, rls.precision_inverse().data().data(),
-                    rls.precision_inverse().data().size());
-      write_packet(os, kArmStats, payload);
-    }
+    put_u64(payload, rls.n_observations());
+    put_f64_array(payload, rls.theta().data(), rls.theta().size());
+    put_f64_array(payload, rls.precision_inverse().data().data(),
+                  rls.precision_inverse().data().size());
+    write_packet(os, kArmStats, payload);
   }
 
   payload.clear();
@@ -240,6 +237,7 @@ core::BanditWare load_bandit_binary(std::istream& is, LoadInfo* info) {
   std::optional<BanditWare> bandit;
   double epsilon = 1.0;
   double lambda = 1.0;
+  bool exact_history = false;
   std::size_t dim = 0;
   std::vector<bool> arm_seen;
   std::uint64_t arm_packets = 0;
@@ -260,22 +258,15 @@ core::BanditWare load_bandit_binary(std::istream& is, LoadInfo* info) {
       }
       case kBanditHeader: {
         if (bandit.has_value()) fail("duplicate header packet");
-        core::BanditWareConfig config = get_bandit_config(payload, &fail);
-        config.policy.fit.forgetting = lambda;
-        if (lambda != 1.0 && config.policy.exact_history) {
-          fail("lambda requires the incremental backend (exact_history set)");
-        }
+        const core::BanditWareConfig config =
+            get_bandit_config(payload, lambda, exact_history, &fail);
         epsilon = payload.get_f64();
         std::vector<std::string> feature_names = get_feature_names(payload, &fail);
         hw::HardwareCatalog catalog = get_catalog(payload, &fail);
         payload.expect_done("header");
         dim = feature_names.size();
         arm_seen.assign(catalog.size(), false);
-        try {
-          bandit.emplace(std::move(catalog), std::move(feature_names), config);
-        } catch (const InvalidArgument& error) {
-          fail(error.what());
-        }
+        bandit.emplace(std::move(catalog), std::move(feature_names), config);
         break;
       }
       case kArmStats:
@@ -285,7 +276,7 @@ core::BanditWare load_bandit_binary(std::istream& is, LoadInfo* info) {
         if (arm >= arm_seen.size()) fail("arm packet names unknown arm");
         if (arm_seen[arm]) fail("duplicate arm packet");
         const bool exact = packet.type == kArmRows;
-        if (exact != bandit->config().policy.exact_history) {
+        if (exact != exact_history) {
           fail("arm record kind contradicts exact_history flag");
         }
         const std::uint64_t n = payload.get_u64();
@@ -373,7 +364,7 @@ void save_server_binary(std::ostream& os, const serve::BanditServer& server) {
   // The full bandit config + catalog ride in the header so a truncated
   // snapshot (torn shard packets) can still restore the engine shape with
   // fresh replicas where blobs are missing.
-  put_bandit_config(payload, config.bandit, config.bandit.policy.exact_history);
+  put_bandit_config(payload, config.bandit);
   put_names(payload, server.feature_names());
   put_catalog(payload, StateAccess::shard_bandit(server, 0).catalog());
   write_packet(os, kServerHeader, payload);
@@ -452,11 +443,9 @@ serve::BanditServer load_server_binary(std::istream& is, LoadInfo* info) {
         config.sync_mode = static_cast<serve::SyncMode>(sync_mode);
         observe_batches = payload.get_u64();
         rr_counter = payload.get_u64();
-        config.bandit = get_bandit_config(payload, &fail_server);
-        config.bandit.policy.fit.forgetting = header_lambda;
-        if (header_lambda != 1.0 && config.bandit.policy.exact_history) {
-          fail_server("lambda requires the incremental backend (exact_history set)");
-        }
+        bool exact_history = false;  // shard blobs carry their own flag
+        config.bandit =
+            get_bandit_config(payload, header_lambda, exact_history, &fail_server);
         feature_names = get_feature_names(payload, &fail_server);
         catalog = get_catalog(payload, &fail_server);
         payload.expect_done("header");

@@ -52,6 +52,19 @@ bool consume_text_header(std::istream& is, ProbeResult& out) {
   return true;
 }
 
+/// Runs a loader with ParseError as its only failure type. Values a parser
+/// accepts can still violate a constructor's precondition (a 0-cpu arm,
+/// ε₀ = 2, an unknown policy token); on a load that InvalidArgument means
+/// malformed input, so it is converted here, at the io boundary.
+template <typename Load>
+auto parse_errors_only(const char* who, Load&& load) -> decltype(load()) {
+  try {
+    return load();
+  } catch (const InvalidArgument& error) {
+    throw ParseError(std::string(who) + ": " + error.what());
+  }
+}
+
 }  // namespace
 
 Format parse_format(const std::string& name) {
@@ -117,7 +130,8 @@ core::BanditWare load_state(std::istream& is, LoadInfo* info) {
       throw ParseError(
           "BanditWare::load_state: binary container holds a different payload kind");
     }
-    return detail::load_bandit_binary(is, info);
+    return parse_errors_only("BanditWare::load_state",
+                             [&] { return detail::load_bandit_binary(is, info); });
   }
   ProbeResult header;
   if (!consume_text_header(is, header) ||
@@ -129,7 +143,8 @@ core::BanditWare load_state(std::istream& is, LoadInfo* info) {
     info->version = header.version;
     info->truncated = false;
   }
-  return detail::load_bandit_text(is, header.version);
+  return parse_errors_only("BanditWare::load_state",
+                           [&] { return detail::load_bandit_text(is, header.version); });
 }
 
 serve::BanditServer load_server_state(std::istream& is, LoadInfo* info) {
@@ -139,7 +154,8 @@ serve::BanditServer load_server_state(std::istream& is, LoadInfo* info) {
       throw ParseError(
           "BanditServer::load_state: binary container holds a different payload kind");
     }
-    return detail::load_server_binary(is, info);
+    return parse_errors_only("BanditServer::load_state",
+                             [&] { return detail::load_server_binary(is, info); });
   }
   ProbeResult header;
   if (!consume_text_header(is, header) ||
@@ -151,7 +167,8 @@ serve::BanditServer load_server_state(std::istream& is, LoadInfo* info) {
     info->version = header.version;
     info->truncated = false;
   }
-  return detail::load_server_text(is, header.version);
+  return parse_errors_only("BanditServer::load_state",
+                           [&] { return detail::load_server_text(is, header.version); });
 }
 
 }  // namespace bw::io

@@ -7,8 +7,8 @@
 //   io::load_state(is) / io::load_server_state(is)
 //
 // Loading auto-detects the format from the leading bytes — the binary
-// container magic, or a `banditware-state v1..v3` / `banditserver-state
-// v1..v4` text header — so every snapshot ever written keeps loading
+// container magic, or a `banditware-state v1..v4` / `banditserver-state
+// v1..v5` text header — so every snapshot ever written keeps loading
 // through one call, forever. The legacy string-based members
 // (`BanditWare::save_state()/load_state()`, `BanditServer::…`) are thin
 // wrappers over these streams; no caller outside src/io/ touches a

@@ -1,12 +1,14 @@
 // The plain-text snapshot codecs — `banditware-state v1..v4` and
 // `banditserver-state v1..v5` — moved here from core/banditware.cpp and
 // serve/bandit_server.cpp so that no version-specific parser lives outside
-// src/io/. The writers are byte-for-byte the historical writers (the
-// golden fixtures in tests/data/ pin this); the readers keep the exact
-// validation order and error messages, with one deliberate change: shard
-// blob reads are bounded by chunked reads instead of rdbuf()->in_avail(),
-// because in_avail() only sees the buffered portion of a file stream and
-// the codec now reads from arbitrary istreams, not just istringstreams.
+// src/io/. The writers are byte-for-byte the historical writers for every
+// snapshot they can still produce (the golden fixtures in tests/data/ pin
+// this). Raw observation rows — v1 bodies and v2+ `obs` records under
+// `exact_history 1` — are load-only: the readers replay them into the
+// recursive arms, and the writers always emit `stats` records with the
+// flag at 0. Shard blob reads are bounded by chunked reads instead of
+// rdbuf()->in_avail(), because in_avail() only sees the buffered portion
+// of a file stream and the codec reads from arbitrary istreams.
 
 #include <cmath>
 #include <iomanip>
@@ -62,14 +64,43 @@ void check_unique_arm_name(std::unordered_set<std::string>& seen,
 
 struct SnapshotHeader {
   core::BanditWareConfig config;
+  /// Legacy flag: the arms carry raw observation rows (`obs` records).
+  bool exact_history = false;
   double epsilon = 1.0;
   std::vector<std::string> feature_names;
   std::size_t num_arms = 0;
 };
 
-/// Parses the config / epsilon / features / arms preamble shared by v1, v2,
-/// and v3 (v2+ additionally carries the exact_history flag on the config
-/// line; the v3 policy line is read by the caller before this preamble).
+/// One legacy arm's raw observation rows, restored by replay.
+struct ArmRows {
+  std::vector<FeatureVector> xs;
+  std::vector<double> ys;
+};
+
+/// Reads `n` rows of `dim` features followed by the runtime.
+void read_rows(std::istream& is, std::size_t dim, std::size_t n, ArmRows& rows) {
+  for (std::size_t i = 0; i < n; ++i) {
+    FeatureVector x(dim);
+    double y = 0.0;
+    for (double& v : x) is >> v;
+    is >> y;
+    if (!is) fail("truncated observation");
+    rows.xs.push_back(std::move(x));
+    rows.ys.push_back(y);
+  }
+}
+
+/// Replays rows through the policy: O(n d^2) with the recursive arm. The
+/// replay decays ε; callers reinstate the snapshot's ε afterwards.
+void replay_rows(BanditWare& bandit, ArmIndex arm, const ArmRows& rows) {
+  for (std::size_t i = 0; i < rows.xs.size(); ++i) {
+    StateAccess::banked(bandit).observe(arm, rows.xs[i], rows.ys[i]);
+  }
+}
+
+/// Parses the config / epsilon / features / arms preamble shared by v1-v4
+/// (v2+ additionally carries the exact_history flag on the config line;
+/// the v3+ policy line is read by the caller before this preamble).
 SnapshotHeader read_header(std::istream& is, int version) {
   SnapshotHeader header;
   std::string token;
@@ -83,7 +114,7 @@ SnapshotHeader read_header(std::istream& is, int version) {
     int exact = 0;
     is >> token >> exact;
     if (token != "exact_history") fail("expected exact_history");
-    header.config.policy.exact_history = exact != 0;
+    header.exact_history = exact != 0;
   }
   is >> token;
   if (token != "epsilon") fail("expected epsilon");
@@ -106,16 +137,11 @@ SnapshotHeader read_header(std::istream& is, int version) {
 
 BanditWare load_bandit_text_v1(std::istream& is) {
   // Legacy format: raw observation rows per arm, rebuilt by replaying every
-  // observation through the policy. With the incremental backend the replay
-  // is O(n d^2) total (it was O(n^2 d^2) when each observe refit the batch).
+  // observation through the policy.
   const SnapshotHeader header = read_header(is, 1);
   std::string token;
 
-  struct ArmData {
-    std::vector<FeatureVector> xs;
-    std::vector<double> ys;
-  };
-  std::vector<ArmData> arms(header.num_arms);
+  std::vector<ArmRows> arms(header.num_arms);
   hw::HardwareCatalog catalog;
   std::unordered_set<std::string> seen_names;
   for (auto& arm : arms) {
@@ -128,25 +154,15 @@ BanditWare load_bandit_text_v1(std::istream& is) {
     if (!is) fail("truncated arm header");
     check_unique_arm_name(seen_names, spec.name);
     catalog.add(spec);
-    for (std::size_t i = 0; i < obs; ++i) {
-      FeatureVector x(header.feature_names.size());
-      double y = 0.0;
-      for (double& v : x) is >> v;
-      is >> y;
-      if (!is) fail("truncated observation");
-      arm.xs.push_back(std::move(x));
-      arm.ys.push_back(y);
-    }
+    read_rows(is, header.feature_names.size(), obs, arm);
   }
 
   BanditWare restored(std::move(catalog), header.feature_names, header.config);
   for (ArmIndex arm = 0; arm < restored.num_arms(); ++arm) {
-    for (std::size_t i = 0; i < arms[arm].xs.size(); ++i) {
-      StateAccess::banked(restored).observe(arm, arms[arm].xs[i], arms[arm].ys[i]);
-    }
+    replay_rows(restored, arm, arms[arm]);
   }
-  // observe() decayed ε during the replay above; the snapshot value is
-  // authoritative (the original run may have interleaved other decays).
+  // The replay above decayed ε; the snapshot value is authoritative (the
+  // original run may have interleaved other decays).
   StateAccess::eps_greedy(restored)->set_epsilon(header.epsilon);
   return restored;
 }
@@ -170,11 +186,7 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
     std::string kind_name;
     is >> kind_name;
     if (!is) fail("truncated policy line");
-    try {
-      kind = core::parse_policy_kind(kind_name);
-    } catch (const InvalidArgument& error) {
-      fail(error.what());
-    }
+    kind = core::parse_policy_kind(kind_name);
     // Scalar ranges are validated here, not left to the policy
     // constructors: a corrupted snapshot must surface as the documented
     // ParseError, never as the constructors' InvalidArgument.
@@ -195,10 +207,10 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
   header.config.alpha = alpha;
   header.config.posterior_scale = posterior_scale;
   header.config.policy.fit.forgetting = lambda;
-  // The discount has no batch-QR counterpart; a snapshot claiming both is
-  // corrupt (the writer can never produce it).
-  if (lambda != 1.0 && header.config.policy.exact_history) {
-    fail("lambda requires the incremental backend (exact_history set)");
+  // Row-carrying snapshots were only ever written for ε-greedy at λ = 1; a
+  // snapshot claiming rows with anything else is corrupt.
+  if (header.exact_history && (lambda != 1.0 || kind != PolicyKind::kEpsilonGreedy)) {
+    fail("exact_history rows require an epsilon-greedy snapshot with lambda 1");
   }
   const std::size_t dim = header.feature_names.size();
   const std::size_t dim_aug = dim + 1;
@@ -206,10 +218,9 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
   struct ArmState {
     bool exact = false;
     std::size_t n = 0;
-    linalg::Vector theta;           // stats record
-    linalg::Matrix p;               // stats record
-    std::vector<FeatureVector> xs;  // obs record
-    std::vector<double> ys;
+    linalg::Vector theta;  // stats record
+    linalg::Matrix p;      // stats record
+    ArmRows rows;          // legacy obs record
   };
   std::vector<ArmState> arms(header.num_arms);
   hw::HardwareCatalog catalog;
@@ -221,7 +232,7 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
     is >> spec.name >> spec.cpus >> spec.memory_gb >> spec.gpus >> token;
     if (token != "obs" && token != "stats") fail("expected obs or stats count");
     arm.exact = token == "obs";
-    if (arm.exact != header.config.policy.exact_history) {
+    if (arm.exact != header.exact_history) {
       fail("arm record kind contradicts exact_history flag");
     }
     arm.n = read_obs_count(is);
@@ -229,15 +240,7 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
     check_unique_arm_name(seen_names, spec.name);
     catalog.add(spec);
     if (arm.exact) {
-      for (std::size_t i = 0; i < arm.n; ++i) {
-        FeatureVector x(dim);
-        double y = 0.0;
-        for (double& v : x) is >> v;
-        is >> y;
-        if (!is) fail("truncated observation");
-        arm.xs.push_back(std::move(x));
-        arm.ys.push_back(y);
-      }
+      read_rows(is, dim, arm.n, arm.rows);
     } else {
       is >> token;
       if (token != "theta") fail("expected theta");
@@ -259,9 +262,7 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
   for (ArmIndex arm = 0; arm < restored.num_arms(); ++arm) {
     ArmState& state = arms[arm];
     if (state.exact) {
-      for (std::size_t i = 0; i < state.xs.size(); ++i) {
-        StateAccess::banked(restored).observe(arm, state.xs[i], state.ys[i]);
-      }
+      replay_rows(restored, arm, state.rows);
     } else {
       StateAccess::banked(restored).arm_model(arm).restore_stats(state.p, state.theta,
                                                                  state.n);
@@ -274,21 +275,16 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
 }  // namespace
 
 std::string bandit_state_text(const BanditWare& bandit) {
-  // Sufficient statistics per arm. Incremental arms serialize (theta, P, n)
-  // — O(arms * d^2) regardless of history length — while exact_history arms
-  // still carry their raw observation rows (the batch backend *is* its
-  // history). ε-greedy instances write the pre-policy-axis v2 format
-  // byte-for-byte (existing snapshots and golden fixtures stay stable);
-  // LinUCB/Thompson write v3, which only adds the `policy` line below.
-  // The serialized flag is the arms' *effective* backend (every arm shares
-  // it): a fit with intercept=false forces the batch backend even when
-  // exact_history was not requested, and the reader checks record kinds
-  // against this flag.
+  // Sufficient statistics (theta, P, n) per arm — O(arms * d^2) regardless
+  // of history length. ε-greedy instances write the pre-policy-axis v2
+  // format byte-for-byte (existing snapshots and golden fixtures stay
+  // stable); LinUCB/Thompson write v3, which only adds the `policy` line
+  // below. The legacy exact_history flag is always 0: `obs` row records
+  // are load-only.
   const core::BanditWareConfig& config = bandit.config();
   const hw::HardwareCatalog& catalog = bandit.catalog();
   const core::BankedPolicy& policy = StateAccess::banked(bandit);
   const bool eps_kind = config.policy_kind == PolicyKind::kEpsilonGreedy;
-  const bool effective_exact_history = policy.arm_model(0).exact_history();
   // λ < 1 writes the v4 superset (a `lambda` line, then an always-present
   // `policy` line — ε-greedy included, so v4 has one body shape). λ = 1
   // keeps writing v2/v3 byte-for-byte: the discount is the only thing the
@@ -315,8 +311,7 @@ std::string bandit_state_text(const BanditWare& bandit) {
       eps_kind ? bandit.epsilon() : config.policy.initial_epsilon;
   os << "epsilon0 " << config.policy.initial_epsilon << " decay " << config.policy.decay
      << " tol_ratio " << config.policy.tolerance.ratio << " tol_seconds "
-     << config.policy.tolerance.seconds << " exact_history "
-     << (effective_exact_history ? 1 : 0) << "\n";
+     << config.policy.tolerance.seconds << " exact_history 0\n";
   os << "epsilon " << epsilon_line << "\n";
   os << "features " << bandit.feature_names().size();
   for (const auto& name : bandit.feature_names()) os << ' ' << name;
@@ -325,26 +320,17 @@ std::string bandit_state_text(const BanditWare& bandit) {
   for (ArmIndex arm = 0; arm < catalog.size(); ++arm) {
     const auto& spec = catalog[arm];
     const auto& model = policy.arm_model(arm);
+    const auto& rls = model.rls();
     os << "arm " << spec.name << ' ' << spec.cpus << ' ' << spec.memory_gb << ' '
-       << spec.gpus;
-    if (model.exact_history()) {
-      os << " obs " << model.count() << "\n";
-      for (std::size_t i = 0; i < model.count(); ++i) {
-        for (double v : model.observed_features()[i]) os << v << ' ';
-        os << model.observed_runtimes()[i] << "\n";
-      }
-    } else {
-      const auto& rls = model.rls();
-      os << " stats " << model.count() << "\n";
-      os << "theta";
-      for (double v : rls.theta()) os << ' ' << v;
+       << spec.gpus << " stats " << model.count() << "\n";
+    os << "theta";
+    for (double v : rls.theta()) os << ' ' << v;
+    os << "\n";
+    const auto& p = rls.precision_inverse();
+    for (std::size_t r = 0; r < p.rows(); ++r) {
+      os << "P";
+      for (std::size_t c = 0; c < p.cols(); ++c) os << ' ' << p(r, c);
       os << "\n";
-      const auto& p = rls.precision_inverse();
-      for (std::size_t r = 0; r < p.rows(); ++r) {
-        os << "P";
-        for (std::size_t c = 0; c < p.cols(); ++c) os << ' ' << p(r, c);
-        os << "\n";
-      }
     }
   }
   // Explicit trailer: a truncated numeric tail would still parse as a
@@ -461,11 +447,7 @@ serve::BanditServer load_server_text(std::istream& is, int version) {
       std::string policy_name;
       is >> token >> policy_name;
       if (!is || token != "policy") fail("expected policy");
-      try {
-        config.bandit.policy_kind = core::parse_policy_kind(policy_name);
-      } catch (const InvalidArgument& error) {
-        fail(error.what());
-      }
+      config.bandit.policy_kind = core::parse_policy_kind(policy_name);
     }
     // The auto-sync cadence phase: without it a restored server with
     // sync_every > 1 would sync on different batches than the original.

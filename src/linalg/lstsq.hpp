@@ -33,13 +33,14 @@ struct FitOptions {
   double ridge = 0.0;
   /// If true and the QR path hits rank deficiency, retry with this ridge.
   double fallback_ridge = 1e-8;
-  /// Fit the intercept b (paper's model always has one).
+  /// Fit the intercept b (paper's model always has one). Only fit_linear
+  /// honours false; core::LinearArmModel rejects it.
   bool intercept = true;
-  /// Forgetting factor λ ∈ (0, 1] for the incremental (RLS) backend:
+  /// Forgetting factor λ ∈ (0, 1] for the recursive (RLS) arm model:
   /// A ← λA + xxᵀ, b ← λb + yx, so an observation k steps old carries
   /// weight λ^k (effective window ≈ 1/(1-λ)). λ = 1 is the stationary
-  /// estimator, bit-identical to the pre-λ code paths. Incremental backend
-  /// only — the batch-QR (exact_history) path rejects λ < 1.
+  /// estimator, bit-identical to the pre-λ code paths. fit_linear ignores
+  /// it (a batch fit weights every row equally).
   double forgetting = 1.0;
 };
 

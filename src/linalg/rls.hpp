@@ -3,9 +3,8 @@
 // alternative to the paper's batch refit (Alg. 1 line 11): after every
 // observation the posterior precision P = (X^T X + ridge I)^{-1} is updated
 // in place. Mathematically identical to ridge least squares on the same
-// data (verified by property tests). This is the production backend of
-// core::LinearArmModel; the batch-QR path survives behind its
-// `exact_history` flag for the paper-figure benchmarks.
+// data (verified by property tests). This is the learner inside every
+// core::LinearArmModel.
 //
 // update() is allocation-free after the first call (member scratch
 // buffers), so a long observation stream costs exactly O(p^2) work per

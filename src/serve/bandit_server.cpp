@@ -46,29 +46,10 @@ void wait_all(std::vector<std::future<void>>& futures) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
-/// Whether this config's arms run the batch (exact_history) backend —
-/// delegated to the model's own backend-selection rule so the two can
-/// never diverge.
-bool effective_exact_history(const BanditServerConfig& config) {
-  return core::LinearArmModel::uses_exact_history(config.bandit.policy.fit,
-                                                  config.bandit.policy.exact_history);
-}
-
-void validate_config(const BanditServerConfig& config) {
-  BW_CHECK_MSG(config.num_shards >= 1, "BanditServer needs at least one shard");
-  // Async sync stages compact sufficient statistics; exact_history arms
-  // have none (their history is their state) and would merge by replaying
-  // O(total) rows inside the publish swap — the ROADMAP caveat. Reject up
-  // front instead of failing mid-flight in the fuser thread.
-  BW_CHECK_MSG(!(config.sync_mode == SyncMode::kAsync && effective_exact_history(config)),
-               "async sync requires the incremental arm backend "
-               "(exact_history arms have no compact statistics to stage)");
-}
-
 std::vector<core::BanditWare> make_replicas(const hw::HardwareCatalog& catalog,
                                             const std::vector<std::string>& feature_names,
                                             const BanditServerConfig& config) {
-  validate_config(config);
+  BW_CHECK_MSG(config.num_shards >= 1, "BanditServer needs at least one shard");
   std::vector<core::BanditWare> replicas;
   replicas.reserve(config.num_shards);
   for (std::size_t i = 0; i < config.num_shards; ++i) {
@@ -153,7 +134,6 @@ BanditServer::BanditServer(BanditServerConfig config,
     : config_(config), rr_tag_(next_rr_tag()) {
   BW_CHECK_MSG(!replicas.empty(), "BanditServer needs at least one shard replica");
   config_.num_shards = replicas.size();
-  validate_config(config_);
   feature_names_ = replicas.front().feature_names();
   num_arms_ = replicas.front().num_arms();
   catalog_ = replicas.front().catalog();
@@ -623,8 +603,6 @@ void BanditServer::stop_fuser() noexcept {
 
 bool BanditServer::sync_stage() {
   if (shards_.size() <= 1) return false;
-  BW_CHECK_MSG(!effective_exact_history(config_),
-               "sync_stage requires the incremental arm backend");
   staging_.clear();
   std::shared_lock fuse_lock(fuse_mutex_);
   staging_.generation = generation_.load(std::memory_order_relaxed);
@@ -774,7 +752,7 @@ std::string BanditServer::save_state() const {
 }
 
 BanditServer BanditServer::load_state(const std::string& text) {
-  // Thin wrapper over io::load_server_state, which auto-detects text v1-v4
+  // Thin wrapper over io::load_server_state, which auto-detects text v1-v5
   // and the binary container from the leading bytes.
   std::istringstream is(text, std::ios::binary);
   return io::load_server_state(is);

@@ -131,9 +131,7 @@ struct BanditServerConfig {
   ///     the cadence is skipped entirely and no fusion cost is paid.
   std::size_t sync_every = 0;
   /// How sync_every (and request_sync) fuses: inline stop-the-world, or
-  /// async off the hot path. Async requires the incremental arm backend —
-  /// exact_history arms merge by replaying full histories, which defeats
-  /// the purpose and is rejected at construction.
+  /// async off the hot path.
   SyncMode sync_mode = SyncMode::kInline;
 };
 
@@ -274,7 +272,7 @@ class BanditServer {
 
   /// Stage: snapshots the baseline and every shard's sufficient statistics
   /// under brief shared locks. Returns false (and stages nothing) for
-  /// 1-shard engines. Throws InvalidArgument for exact_history configs.
+  /// 1-shard engines.
   bool sync_stage();
 
   /// Fuse: information-form fusion of the staged statistics against the
@@ -330,7 +328,7 @@ class BanditServer {
   /// lives in src/io/state_io.hpp.
   std::string save_state() const;
 
-  /// Rebuilds a server from a serialized snapshot, any format (text v1-v4
+  /// Rebuilds a server from a serialized snapshot, any format (text v1-v5
   /// or binary — a thin wrapper over `io::load_server_state`, which
   /// auto-detects from the leading bytes). Throws ParseError.
   static BanditServer load_state(const std::string& text);

@@ -130,43 +130,6 @@ TEST(BanditWare, SaveStateIsV2AndByteStableAcrossRoundTrip) {
   EXPECT_EQ(restored.predictions(probe), original.predictions(probe));
 }
 
-TEST(BanditWare, ExactHistoryModeRoundTripsThroughV2) {
-  BanditWareConfig config;
-  config.policy.exact_history = true;
-  BanditWare original = make_bandit(config);
-  Rng rng(10);
-  for (int i = 0; i < 15; ++i) {
-    const FeatureVector x = {static_cast<double>(i + 1), 2.0};
-    const auto decision = original.next(x, rng);
-    original.observe(decision.arm, x, 7.0 * x[0] + decision.arm);
-  }
-  const std::string saved = original.save_state();
-  BanditWare restored = BanditWare::load_state(saved);
-  EXPECT_TRUE(restored.policy().config().exact_history);
-  EXPECT_EQ(restored.save_state(), saved);
-  EXPECT_EQ(restored.num_observations(), original.num_observations());
-  const FeatureVector probe = {4.0, 2.0};
-  const auto p_original = original.predictions(probe);
-  const auto p_restored = restored.predictions(probe);
-  for (std::size_t arm = 0; arm < 3; ++arm) {
-    EXPECT_NEAR(p_restored[arm], p_original[arm], 1e-9);
-  }
-}
-
-TEST(BanditWare, InterceptFreeFitSnapshotStillLoads) {
-  BanditWareConfig config;
-  config.policy.fit.intercept = false;  // forces the batch backend per-arm
-  BanditWare original = make_bandit(config);
-  original.observe(0, {1.0, 2.0}, 3.0);
-  const std::string saved = original.save_state();
-  // Fit options are not serialized (documented limitation), but the
-  // snapshot must at least load and round-trip: save_state writes the
-  // arms' *effective* backend, not the raw exact_history config flag.
-  BanditWare restored = BanditWare::load_state(saved);
-  EXPECT_TRUE(restored.policy().config().exact_history);
-  EXPECT_EQ(restored.save_state(), saved);
-}
-
 TEST(BanditWare, V1SnapshotMigratesToV2Model) {
   // A legacy v1 snapshot (raw observation rows) must load into the current
   // incremental model with matching predictions, and re-save as v2.

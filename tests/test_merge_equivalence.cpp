@@ -252,10 +252,9 @@ TEST(RlsMerge, RejectsIncompatibleOperands) {
   EXPECT_THROW(a.merge(other, &bad_base), InvalidArgument);
 }
 
-core::BanditWareConfig shared_ridge_config(bool exact_history = false) {
+core::BanditWareConfig shared_ridge_config() {
   core::BanditWareConfig config;
   config.policy.fit.ridge = kRidge;
-  config.policy.exact_history = exact_history;
   return config;
 }
 
@@ -284,37 +283,34 @@ void observe_stream(core::BanditWare& bandit, const Stream& s, std::size_t offse
 }
 
 TEST(BanditWareMerge, MatchesSingleStreamTraining) {
-  for (const bool exact_history : {false, true}) {
-    const std::size_t dim = 2;
-    Rng rng(99);
-    const Stream s1 = random_stream(60, dim, rng);
-    const Stream s2 = random_stream(45, dim, rng);
-    const auto config = shared_ridge_config(exact_history);
-    const std::vector<std::string> features = {"f0", "f1"};
+  const std::size_t dim = 2;
+  Rng rng(99);
+  const Stream s1 = random_stream(60, dim, rng);
+  const Stream s2 = random_stream(45, dim, rng);
+  const auto config = shared_ridge_config();
+  const std::vector<std::string> features = {"f0", "f1"};
 
-    core::BanditWare merged(hw::ndp_catalog(), features, config);
-    core::BanditWare other(hw::ndp_catalog(), features, config);
-    core::BanditWare reference(hw::ndp_catalog(), features, config);
-    observe_stream(merged, s1, 0);
-    observe_stream(other, s2, s1.size());
-    observe_stream(reference, s1, 0);
-    observe_stream(reference, s2, s1.size());
+  core::BanditWare merged(hw::ndp_catalog(), features, config);
+  core::BanditWare other(hw::ndp_catalog(), features, config);
+  core::BanditWare reference(hw::ndp_catalog(), features, config);
+  observe_stream(merged, s1, 0);
+  observe_stream(other, s2, s1.size());
+  observe_stream(reference, s1, 0);
+  observe_stream(reference, s2, s1.size());
 
-    merged.merge_from(other);
-    EXPECT_EQ(merged.num_observations(), reference.num_observations());
-    EXPECT_NEAR(merged.epsilon(), reference.epsilon(), 1e-12);
-    for (int probe = 0; probe < 8; ++probe) {
-      core::FeatureVector x(dim);
-      for (double& v : x) v = rng.uniform(0.0, 5.0);
-      const auto got = merged.predictions(x);
-      const auto want = reference.predictions(x);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t arm = 0; arm < got.size(); ++arm) {
-        EXPECT_NEAR(got[arm], want[arm], kTol)
-            << "exact_history=" << exact_history << " arm=" << arm;
-      }
-      EXPECT_EQ(merged.recommend_index(x), reference.recommend_index(x));
+  merged.merge_from(other);
+  EXPECT_EQ(merged.num_observations(), reference.num_observations());
+  EXPECT_NEAR(merged.epsilon(), reference.epsilon(), 1e-12);
+  for (int probe = 0; probe < 8; ++probe) {
+    core::FeatureVector x(dim);
+    for (double& v : x) v = rng.uniform(0.0, 5.0);
+    const auto got = merged.predictions(x);
+    const auto want = reference.predictions(x);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t arm = 0; arm < got.size(); ++arm) {
+      EXPECT_NEAR(got[arm], want[arm], kTol) << "arm=" << arm;
     }
+    EXPECT_EQ(merged.recommend_index(x), reference.recommend_index(x));
   }
 }
 
@@ -546,10 +542,6 @@ TEST(BanditWareMerge, RejectsIncompatibleInstances) {
   other_ridge.policy.fit.ridge = 1e-2;
   const core::BanditWare wrong_ridge(hw::ndp_catalog(), features, other_ridge);
   EXPECT_THROW(a.merge_from(wrong_ridge), InvalidArgument);
-
-  const core::BanditWare wrong_backend(hw::ndp_catalog(), features,
-                                       shared_ridge_config(/*exact_history=*/true));
-  EXPECT_THROW(a.merge_from(wrong_backend), InvalidArgument);
 
   auto other_decay = shared_ridge_config();
   other_decay.policy.decay = 0.5;

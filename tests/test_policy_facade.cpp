@@ -15,6 +15,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/banditware.hpp"
+#include "fleet/fleet_node.hpp"
 #include "hardware/catalog.hpp"
 #include "serve/bandit_server.hpp"
 
@@ -110,25 +111,48 @@ TEST(PolicyFacade, EpsilonAccessorsAreEpsilonGreedyOnly) {
   }
 }
 
-TEST(PolicyFacade, ExactHistoryIsEpsilonGreedyOnly) {
-  for (const core::PolicyKind kind :
-       {core::PolicyKind::kLinUcb, core::PolicyKind::kThompson}) {
-    auto config = config_for(kind);
-    config.policy.exact_history = true;
-    EXPECT_THROW(core::BanditWare(hw::ndp_catalog(), {"f"}, config), InvalidArgument)
-        << core::to_string(kind);
-    // intercept=false forces the batch backend, so it is rejected the same
-    // way (the confidence width needs the RLS posterior).
-    auto no_intercept = config_for(kind);
-    no_intercept.policy.fit.intercept = false;
-    EXPECT_THROW(core::BanditWare(hw::ndp_catalog(), {"f"}, no_intercept),
-                 InvalidArgument)
-        << core::to_string(kind);
+/// `build` must throw InvalidArgument, and the message must name the
+/// intercept so the user can tell which option to fix.
+template <typename Build>
+void expect_intercept_rejection(Build&& build, const std::string& what) {
+  try {
+    build();
+    ADD_FAILURE() << what << ": built an intercept-free learner";
+  } catch (const InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find("intercept"), std::string::npos)
+        << what << ": " << error.what();
   }
-  // ε-greedy keeps both paths.
-  auto eps = config_for(core::PolicyKind::kEpsilonGreedy);
-  eps.policy.exact_history = true;
-  EXPECT_NO_THROW(core::BanditWare(hw::ndp_catalog(), {"f"}, eps));
+}
+
+TEST(PolicyFacade, InterceptFreeConfigsFailAtConstruction) {
+  // The recursive arm always fits the intercept, so fit.intercept = false
+  // is one construction-time InvalidArgument at every layer that builds
+  // arms, for every policy kind and sync mode.
+  linalg::FitOptions no_intercept;
+  no_intercept.intercept = false;
+  expect_intercept_rejection([&] { (void)core::LinearArmModel(1, no_intercept); },
+                             "LinearArmModel");
+  for (const core::PolicyKind kind : kAllKinds) {
+    auto config = config_for(kind);
+    config.policy.fit.intercept = false;
+    expect_intercept_rejection(
+        [&] { (void)core::BanditWare(hw::ndp_catalog(), {"f"}, config); },
+        "BanditWare " + core::to_string(kind));
+  }
+  serve::BanditServerConfig server_config;
+  server_config.num_shards = 2;
+  server_config.bandit.policy.fit.intercept = false;
+  for (const serve::SyncMode mode : {serve::SyncMode::kInline, serve::SyncMode::kAsync}) {
+    server_config.sync_mode = mode;
+    expect_intercept_rejection(
+        [&] { (void)serve::BanditServer(hw::ndp_catalog(), {"f"}, server_config); },
+        "BanditServer " + serve::to_string(mode));
+  }
+  fleet::FleetNodeConfig node_config;
+  node_config.server = server_config;
+  expect_intercept_rejection(
+      [&] { (void)fleet::FleetNode(hw::ndp_catalog(), {"f"}, node_config); },
+      "FleetNode");
 }
 
 TEST(PolicyFacade, SnapshotFormatSplitsByPolicyKind) {

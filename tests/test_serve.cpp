@@ -458,30 +458,6 @@ TEST(BanditServer, ObserveRejectsStaleOrMalformedFeedback) {
   EXPECT_EQ(fh.num_observations(), 1u);
 }
 
-TEST(BanditServer, ConfigRejectsAsyncSyncWithExactHistoryArms) {
-  // ROADMAP caveat, now enforced: exact_history arms merge by history
-  // concatenation, so async sync (which stages compact sufficient
-  // statistics) cannot serve them. Rejected at construction, not mid-round.
-  BanditServerConfig config;
-  config.num_shards = 2;
-  config.sync_mode = SyncMode::kAsync;
-  config.bandit.policy.exact_history = true;
-  EXPECT_THROW(BanditServer(hw::ndp_catalog(), {"num_tasks"}, config),
-               InvalidArgument);
-  // A fit without intercept forces the batch backend too — same rejection.
-  config.bandit.policy.exact_history = false;
-  config.bandit.policy.fit.intercept = false;
-  EXPECT_THROW(BanditServer(hw::ndp_catalog(), {"num_tasks"}, config),
-               InvalidArgument);
-  // Inline sync still accepts exact_history (merge by concatenation works,
-  // it is just expensive — the documented trade-off).
-  config.bandit.policy.fit.intercept = true;
-  config.bandit.policy.exact_history = true;
-  config.sync_mode = SyncMode::kInline;
-  BanditServer server(hw::ndp_catalog(), {"num_tasks"}, config);
-  EXPECT_EQ(server.num_shards(), 2u);
-}
-
 TEST(BanditServer, SingleShardAutoSyncIsANoOp) {
   // sync_every > 0 with one shard has nothing to fuse: the cadence must be
   // skipped entirely — no fusion cost, no sync_count noise — in both modes.

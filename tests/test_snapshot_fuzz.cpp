@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -37,9 +38,8 @@
 namespace bw {
 namespace {
 
-core::BanditWare trained_instance(bool exact_history, double forgetting = 1.0) {
+core::BanditWare trained_instance(double forgetting = 1.0) {
   core::BanditWareConfig config;
-  config.policy.exact_history = exact_history;
   config.policy.fit.forgetting = forgetting;
   core::BanditWare bandit(hw::ndp_catalog(), {"num_tasks", "mem_req"}, config);
   for (int i = 0; i < 9; ++i) {
@@ -90,6 +90,16 @@ serve::BanditServer trained_server(
   return server;
 }
 
+/// A checked-in fixture. The raw-row corpora come from the legacy
+/// `exact_history 1` fixtures: no writer emits row records any more.
+std::string read_fixture(const std::string& name) {
+  std::ifstream in(std::string(BW_TEST_DATA_DIR) + "/" + name, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing fixture: " << name;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
 /// Legacy v1 banditware text (raw rows, no gpus column, no exact_history).
 std::string v1_banditware_text() {
   return "banditware-state v1\n"
@@ -106,7 +116,7 @@ std::string v1_banditware_text() {
 
 /// Legacy v1 banditserver text (no sync_every/sync_mode, no baseline blob).
 std::string v1_banditserver_text() {
-  core::BanditWare replica = trained_instance(false);
+  core::BanditWare replica = trained_instance();
   const std::string blob = replica.save_state();
   std::string text = "banditserver-state v1\n";
   text += "shards 1 sharding feature-hash seed 42 threads 0 explore 1 rr_counter 5\n";
@@ -180,15 +190,15 @@ void check_one(const std::string& mutated, Loader&& load, const char* what,
 
 TEST(SnapshotFuzz, BanditWareParsersRejectMutationsCleanly) {
   const std::vector<std::string> corpus = {
-      trained_instance(false).save_state(),  // v2 stats records
-      trained_instance(true).save_state(),   // v2 raw-row records
-      v1_banditware_text(),                  // legacy v1
+      trained_instance().save_state(),  // v2 stats records
+      read_fixture("state_v2_obs.bw"),  // legacy v2 raw-row records
+      v1_banditware_text(),             // legacy v1
       // v3 policy-token formats: mutations hit the policy line and its
       // scalar as often as the rest of the header.
       trained_policy_instance(core::PolicyKind::kLinUcb).save_state(),
       trained_policy_instance(core::PolicyKind::kThompson).save_state(),
       // v4 discount superset: mutations hit the lambda line too.
-      trained_instance(false, 0.5).save_state(),
+      trained_instance(0.5).save_state(),
   };
   Rng rng(20260730);
   constexpr int kCasesPerBase = 220;
@@ -289,8 +299,8 @@ TEST(SnapshotFuzz, HostileCountsFailWithoutAllocating) {
       "banditserver-state v4\n"
       "shards 1 sharding feature-hash seed 1 threads 0 explore 1 sync_every 0 "
       "sync_mode inline policy warp-drive observe_batches 0 rr_counter 0\n",
-      // Discount-token corruption: out-of-range, non-finite, or
-      // backend-incompatible lambdas must all be clean ParseErrors.
+      // Discount-token corruption: out-of-range, non-finite, or combined
+      // with legacy raw rows — all must be clean ParseErrors.
       "banditware-state v4\n"
       "lambda 1.5\n"
       "policy epsilon-greedy\n"
@@ -319,6 +329,28 @@ TEST(SnapshotFuzz, HostileCountsFailWithoutAllocating) {
       "shards 1 sharding feature-hash seed 1 threads 0 explore 1 sync_every 0 "
       "sync_mode inline lambda inf policy epsilon-greedy observe_batches 0 "
       "rr_counter 0\n",
+      // Values the parser accepts but a constructor rejects (ε₀ > 1, decay
+      // 0, a 0-cpu arm) must surface as ParseError, not InvalidArgument.
+      "banditware-state v2\n"
+      "epsilon0 2 decay 0.99 tol_ratio 0 tol_seconds 0 exact_history 0\n"
+      "epsilon 1\nfeatures 1 x\narms 1\n"
+      "arm H0 1 8 0 stats 0\ntheta 0 0\nP 1 0\nP 0 1\nend\n",
+      "banditware-state v2\n"
+      "epsilon0 1 decay 0 tol_ratio 0 tol_seconds 0 exact_history 0\n"
+      "epsilon 1\nfeatures 1 x\narms 1\n"
+      "arm H0 1 8 0 stats 0\ntheta 0 0\nP 1 0\nP 0 1\nend\n",
+      "banditware-state v2\n"
+      "epsilon0 1 decay 0.99 tol_ratio 0 tol_seconds 0 exact_history 0\n"
+      "epsilon 1\nfeatures 1 x\narms 1\n"
+      "arm H0 0 8 0 stats 0\ntheta 0 0\nP 1 0\nP 0 1\nend\n",
+      "banditware-state v1\n"
+      "epsilon0 1 decay 0.99 tol_ratio 0 tol_seconds 0\n"
+      "epsilon 1\nfeatures 1 x\narms 1\narm H0 0 8 obs 1\n3 4\n",
+      // Raw rows were only ever written for ε-greedy at λ = 1.
+      "banditware-state v3\n"
+      "policy linucb alpha 1\n"
+      "epsilon0 1 decay 0.99 tol_ratio 0 tol_seconds 0 exact_history 1\n"
+      "epsilon 1\nfeatures 1 x\narms 1\narm H0 1 8 0 obs 1\n3 4\nend\n",
   };
   for (std::size_t i = 0; i < hostile.size(); ++i) {
     if (hostile[i].rfind("banditserver", 0) == 0) {
@@ -345,8 +377,8 @@ std::string binary_blob(const State& state) {
 
 TEST(SnapshotFuzz, BinaryStateContainersRejectMutationsCleanly) {
   const std::vector<std::string> bandit_corpus = {
-      binary_blob(trained_instance(false)),
-      binary_blob(trained_instance(true)),
+      binary_blob(trained_instance()),
+      read_fixture("state_bin_v1_rows.bwb"),  // legacy 0x03 row packets
       binary_blob(trained_policy_instance(core::PolicyKind::kLinUcb)),
       binary_blob(trained_policy_instance(core::PolicyKind::kThompson)),
   };

@@ -49,14 +49,21 @@ TEST(SnapshotGolden, V2StatsFixtureRoundTripsByteIdentical) {
   EXPECT_EQ(bandit.num_observations(), 9u);
 }
 
-TEST(SnapshotGolden, V2ExactHistoryFixtureRoundTripsByteIdentical) {
-  // exact_history arms (raw observation rows inside a v2 envelope).
+TEST(SnapshotGolden, V2ExactHistoryFixtureMigratesToPinnedStatsBytes) {
+  // Legacy `exact_history 1` snapshot (raw observation rows inside a v2
+  // envelope). Rows are load-only: they replay into the recursive arms and
+  // re-save as exactly the pinned stats records with the flag at 0.
   const std::string fixture = read_file(data_path("state_v2_obs.bw"));
+  const std::string expected = read_file(data_path("state_v2_obs_migrated.bw"));
   ASSERT_FALSE(fixture.empty());
+  ASSERT_FALSE(expected.empty());
   const BanditWare bandit = BanditWare::load_state(fixture);
-  EXPECT_EQ(bandit.save_state(), fixture);
-  EXPECT_TRUE(bandit.config().policy.exact_history);
   EXPECT_EQ(bandit.num_observations(), 6u);
+  const std::string migrated = bandit.save_state();
+  EXPECT_EQ(migrated, expected);
+  EXPECT_NE(migrated.find(" exact_history 0\n"), std::string::npos);
+  // The migration itself must be stable under a second round trip.
+  EXPECT_EQ(BanditWare::load_state(migrated).save_state(), migrated);
 }
 
 TEST(SnapshotGolden, V1FixtureMigratesToPinnedV2Bytes) {
@@ -225,6 +232,26 @@ TEST(SnapshotGolden, BinaryStateFixtureRoundTripsByteIdentical) {
   EXPECT_EQ(bandit.num_arms(), 3u);
   EXPECT_EQ(bandit.num_observations(), 9u);
   EXPECT_EQ(save_binary(bandit), fixture);
+}
+
+TEST(SnapshotGolden, BinaryRowsFixtureLoadsByReplay) {
+  // state_v2_obs.bw re-saved by the last binary writer that still emitted
+  // 0x03 row packets (header exact_history flag 1). Rows are load-only: the
+  // file replays into the recursive arms, exactly as its text twin does,
+  // so both re-save to the same stats-only bytes.
+  const std::string fixture = read_file(data_path("state_bin_v1_rows.bwb"));
+  ASSERT_FALSE(fixture.empty());
+  std::istringstream is(fixture, std::ios::binary);
+  io::LoadInfo info;
+  const BanditWare bandit = io::load_state(is, &info);
+  EXPECT_EQ(info.format, io::Format::kBinary);
+  EXPECT_FALSE(info.truncated);
+  EXPECT_EQ(bandit.num_observations(), 6u);
+  const BanditWare text_twin =
+      BanditWare::load_state(read_file(data_path("state_v2_obs.bw")));
+  EXPECT_EQ(save_binary(bandit), save_binary(text_twin));
+  EXPECT_NE(save_binary(bandit), fixture);  // re-saved as stats packets
+  EXPECT_EQ(bandit.save_state(), read_file(data_path("state_v2_obs_migrated.bw")));
 }
 
 TEST(SnapshotGolden, BinaryLinUcbFixtureRoundTripsByteIdentical) {

@@ -31,11 +31,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-core::BanditWare trained_instance(core::PolicyKind kind, bool exact_history = false,
-                                  double forgetting = 1.0) {
+core::BanditWare trained_instance(core::PolicyKind kind, double forgetting = 1.0) {
   core::BanditWareConfig config;
   config.policy_kind = kind;
-  config.policy.exact_history = exact_history;
   config.policy.fit.forgetting = forgetting;
   config.alpha = 1.5;
   config.posterior_scale = 1.25;
@@ -98,6 +96,12 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
+/// The legacy binary fixture whose arms are 0x03 raw-row packets (header
+/// exact_history flag 1); no writer emits row packets any more.
+std::string rows_fixture() {
+  return read_file(std::string(BW_TEST_DATA_DIR) + "/state_bin_v1_rows.bwb");
+}
+
 /// Byte offsets of each packet *end* in a container blob (the preamble end
 /// is entry 0), computed from the frames alone — the cut points at which a
 /// truncated stream still ends on a whole packet.
@@ -118,25 +122,46 @@ std::vector<std::size_t> packet_ends(const std::string& blob) {
   return ends;
 }
 
-/// A hand-built banditware-state container: valid preamble + header packet
-/// whose tail bytes come from `header_tail` (the bytes after the config +
-/// epsilon prefix — i.e. the feature-name and catalog sections).
-std::string crafted_bandit_container(const std::string& header_tail) {
-  std::string payload;
-  io::put_u8(payload, 0);  // policy kind: epsilon-greedy
+/// The bandit-config section both binary header packets share.
+void put_crafted_config(std::string& payload, std::uint8_t policy_kind,
+                        std::uint8_t exact_history) {
+  io::put_u8(payload, policy_kind);
   io::put_f64(payload, 1.0);   // alpha
   io::put_f64(payload, 1.0);   // posterior_scale
   io::put_f64(payload, 1.0);   // initial_epsilon
   io::put_f64(payload, 0.99);  // decay
   io::put_f64(payload, 0.1);   // tolerance ratio
   io::put_f64(payload, 5.0);   // tolerance seconds
-  io::put_u8(payload, 0);      // exact_history
-  io::put_f64(payload, 1.0);   // live epsilon
+  io::put_u8(payload, exact_history);
+}
+
+/// A hand-built banditware-state container: valid preamble + header packet
+/// whose tail bytes come from `header_tail` (the bytes after the config +
+/// epsilon prefix — i.e. the feature-name and catalog sections).
+std::string crafted_bandit_container(const std::string& header_tail,
+                                     std::uint8_t policy_kind = 0,
+                                     std::uint8_t exact_history = 0) {
+  std::string payload;
+  put_crafted_config(payload, policy_kind, exact_history);
+  io::put_f64(payload, 1.0);  // live epsilon
   payload += header_tail;
   std::ostringstream os(std::ios::binary);
   io::write_container_magic(os, io::PayloadKind::kBanditWareState);
   io::write_packet(os, 0x01, payload);
   return os.str();
+}
+
+/// Header tail: one feature "x" and one arm "H0" with `cpus` cpus.
+std::string one_arm_tail(std::int32_t cpus) {
+  std::string tail;
+  io::put_u32(tail, 1);
+  io::put_string(tail, "x");
+  io::put_u32(tail, 1);
+  io::put_string(tail, "H0");
+  io::put_i32(tail, cpus);
+  io::put_f64(tail, 8.0);  // memory_gb
+  io::put_i32(tail, 0);    // gpus
+  return tail;
 }
 
 core::RunTable small_table(std::size_t groups) {
@@ -271,17 +296,6 @@ TEST(StateIo, BinarySaveLoadSaveIsByteIdentical) {
   EXPECT_EQ(save_as(load_server(server_binary), io::Format::kBinary), server_binary);
 }
 
-TEST(StateIo, ExactHistoryArmsRoundTripThroughBinary) {
-  const core::BanditWare original =
-      trained_instance(core::PolicyKind::kEpsilonGreedy, /*exact_history=*/true);
-  const std::string binary = save_as(original, io::Format::kBinary);
-  const core::BanditWare restored = load_bandit(binary);
-  EXPECT_TRUE(restored.config().policy.exact_history);
-  EXPECT_EQ(restored.num_observations(), original.num_observations());
-  EXPECT_EQ(save_as(restored, io::Format::kText),
-            save_as(original, io::Format::kText));
-}
-
 TEST(StateIo, ServerBinaryRoundTripMatchesTextPerPolicy) {
   const core::PolicyKind kinds[] = {core::PolicyKind::kEpsilonGreedy,
                                     core::PolicyKind::kLinUcb,
@@ -334,7 +348,7 @@ TEST(StateIo, DiscountedStateRoundTripsBothFormats) {
                                     core::PolicyKind::kThompson};
   for (const core::PolicyKind kind : kinds) {
     const core::BanditWare original =
-        trained_instance(kind, /*exact_history=*/false, /*forgetting=*/0.5);
+        trained_instance(kind, /*forgetting=*/0.5);
     const std::string text = save_as(original, io::Format::kText);
     EXPECT_EQ(text.rfind("banditware-state v4\nlambda 0.5\n", 0), 0u)
         << core::to_string(kind);
@@ -426,12 +440,12 @@ TEST(StateIo, HostileLambdaPacketsAreCleanParseErrors) {
   EXPECT_THROW(
       load_bandit(splice_at(ends[0], lambda_packet(0x04, 0.5) + lambda_packet(0x04, 0.5))),
       ParseError);
-  // λ < 1 requires the incremental backend.
-  const std::string exact_binary = save_as(
-      trained_instance(core::PolicyKind::kEpsilonGreedy, /*exact_history=*/true),
-      io::Format::kBinary);
-  EXPECT_THROW(load_bandit(exact_binary.substr(0, ends[0]) + lambda_packet(0x04, 0.5) +
-                           exact_binary.substr(ends[0])),
+  // Raw rows were only ever written at λ = 1: a lambda packet ahead of a
+  // row-carrying header is corrupt.
+  const std::string rows = rows_fixture();
+  const std::size_t rows_preamble = packet_ends(rows)[0];
+  EXPECT_THROW(load_bandit(rows.substr(0, rows_preamble) + lambda_packet(0x04, 0.5) +
+                           rows.substr(rows_preamble)),
                ParseError);
 
   // Server side: a 0x13 header-lambda packet over stationary shard blobs is
@@ -569,10 +583,37 @@ TEST(StateIo, HostileBinaryCountsFailWithoutAllocating) {
       io::put_string(tail, "x");
       cases.push_back(crafted_bandit_container(tail));
     }
+    // A 0-cpu arm parses, but the catalog rejects it: that InvalidArgument
+    // must surface as ParseError (the CLI reports it as a data error).
+    cases.push_back(crafted_bandit_container(one_arm_tail(0)));
+    // Raw rows were only ever written for ε-greedy: a LinUCB header with
+    // the legacy exact_history flag is corrupt.
+    cases.push_back(crafted_bandit_container(one_arm_tail(1), /*policy_kind=*/1,
+                                             /*exact_history=*/1));
     return cases;
   }();
   for (std::size_t i = 0; i < hostile.size(); ++i) {
     EXPECT_THROW(load_bandit(hostile[i]), ParseError) << i;
+  }
+
+  // The server header's catalog goes through the same constructor check.
+  {
+    std::string header;
+    io::put_u32(header, 1);  // shards
+    io::put_u8(header, 0);   // sharding: feature-hash
+    io::put_u64(header, 1);  // seed
+    io::put_u32(header, 0);  // threads
+    io::put_u8(header, 1);   // explore
+    io::put_u64(header, 0);  // sync_every
+    io::put_u8(header, 0);   // sync mode: inline
+    io::put_u64(header, 0);  // observe_batches
+    io::put_u64(header, 0);  // rr_counter
+    put_crafted_config(header, /*policy_kind=*/0, /*exact_history=*/0);
+    header += one_arm_tail(0);
+    std::ostringstream os(std::ios::binary);
+    io::write_container_magic(os, io::PayloadKind::kBanditServerState);
+    io::write_packet(os, 0x10, header);
+    EXPECT_THROW(load_server(os.str()), ParseError);
   }
 
   // A frame whose length field exceeds the packet cap reads as corruption
@@ -588,11 +629,9 @@ TEST(StateIo, HostileBinaryCountsFailWithoutAllocating) {
   }
   EXPECT_THROW(load_bandit(huge_frame), ParseError);
 
-  // An arm packet with an observation count beyond the ceiling.
+  // A row packet with an observation count beyond the ceiling.
   {
-    const core::BanditWare bandit =
-        trained_instance(core::PolicyKind::kEpsilonGreedy, /*exact_history=*/true);
-    const std::string binary = save_as(bandit, io::Format::kBinary);
+    const std::string binary = rows_fixture();
     const std::vector<std::size_t> ends = packet_ends(binary);
     std::string payload;
     io::put_u32(payload, 0);                          // arm index
