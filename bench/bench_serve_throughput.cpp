@@ -37,7 +37,9 @@
 //     total across clients, and latency is measured from the *scheduled*
 //     arrival, so queueing delay counts; this is the production view of
 //     tail latency, immune to coordinated omission). A background writer
-//     thread keeps observes flowing so reads race real republishes.
+//     thread keeps observes flowing so reads race real republishes. The
+//     timed window opens at a barrier once every client holds its context
+//     pool and reserved latency buffer, so thread start-up is not timed.
 //     --min-scaling=S (0 = report only) exits nonzero if the largest
 //     client count's closed-loop throughput is below S x the first client
 //     count's, with S clamped to 0.75 x hardware_concurrency so the gate
@@ -106,10 +108,12 @@
 // existing sweeps can be rerun at high arm counts.
 //
 // Emits machine-readable BENCH_*.json so the perf trajectory is tracked
-// across PRs.
+// across PRs. Every file records the host's hardware threads and, for a
+// gated run, each gate's requested and applied bar.
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -536,9 +540,17 @@ CellResult run_read_scaling_cell(std::size_t shards, std::size_t clients,
   }
 
   const std::size_t per_client = (decisions + clients - 1) / clients;
-  std::vector<std::vector<double>> latencies_us(clients);
+  // One cache line per client: every read appends to its own buffer, and
+  // neighbouring clients' vector headers must not share a line.
+  struct alignas(64) ClientLatencies {
+    std::vector<double> us;
+  };
+  std::vector<ClientLatencies> latencies(clients);
   std::atomic<std::size_t> total_served{0};
   std::atomic<bool> stop_writer{false};
+  // The clock starts once every client holds its pool and reserved buffer,
+  // so the timed window covers reads only, not thread start-up.
+  std::barrier ready(static_cast<std::ptrdiff_t>(clients + 1));
 
   // Feature pools are pre-generated per client so the timed loop measures
   // the recommend, not the RNG.
@@ -553,8 +565,9 @@ CellResult run_read_scaling_cell(std::size_t shards, std::size_t clients,
 
   auto client_loop = [&](std::size_t client_id) {
     const auto pool = make_pool(100 + client_id);
-    auto& lat = latencies_us[client_id];
+    auto& lat = latencies[client_id].us;
     lat.reserve(per_client);
+    ready.arrive_and_wait();
     // Open loop: exponential inter-arrival times (Poisson process) at this
     // client's share of the total rate, generated deterministically.
     const double rate = arrival_rate > 0.0 ? arrival_rate / static_cast<double>(clients)
@@ -610,10 +623,11 @@ CellResult run_read_scaling_cell(std::size_t shards, std::size_t clients,
     }
   };
 
-  const auto start = Clock::now();
   std::thread writer(writer_loop);
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < clients; ++c) threads.emplace_back(client_loop, c);
+  ready.arrive_and_wait();
+  const auto start = Clock::now();
   for (auto& thread : threads) thread.join();
   stop_writer.store(true, std::memory_order_relaxed);
   writer.join();
@@ -622,8 +636,8 @@ CellResult run_read_scaling_cell(std::size_t shards, std::size_t clients,
 
   std::vector<double> all_us;
   all_us.reserve(decisions);
-  for (const auto& lat : latencies_us) {
-    all_us.insert(all_us.end(), lat.begin(), lat.end());
+  for (const auto& lat : latencies) {
+    all_us.insert(all_us.end(), lat.us.begin(), lat.us.end());
   }
   std::sort(all_us.begin(), all_us.end());
 
@@ -938,8 +952,18 @@ CellResult run_decide_cell(std::size_t arms, const std::string& mode,
   return result;
 }
 
+/// One CI gate of a run: the bar its flag asked for and the bar the run
+/// enforced (they differ only where a gate clamps to the host; 0 = the gate
+/// did not apply on this run).
+struct GateBar {
+  std::string flag;
+  double requested = 0.0;
+  double applied = 0.0;
+};
+
 void write_json(const std::string& path, const std::string& workload,
                 double read_frac, std::size_t clients,
+                const std::vector<GateBar>& gates,
                 const std::vector<CellResult>& cells) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -948,10 +972,16 @@ void write_json(const std::string& path, const std::string& workload,
   }
   std::fprintf(f,
                "{\n  \"bench\": \"serve_throughput\",\n  \"workload\": \"%s\",\n"
-               "  \"policy\": \"%s\",\n"
-               "  \"read_frac\": %.2f,\n  \"clients\": %zu,\n  \"results\": [\n",
+               "  \"policy\": \"%s\",\n  \"hardware_threads\": %u,\n"
+               "  \"read_frac\": %.2f,\n  \"clients\": %zu,\n  \"gates\": [",
                workload.c_str(), bw::core::to_string(g_policy.kind).c_str(),
-               read_frac, clients);
+               std::thread::hardware_concurrency(), read_frac, clients);
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    std::fprintf(f, "%s{\"flag\": \"%s\", \"requested\": %.4f, \"applied\": %.4f}",
+                 i == 0 ? "" : ", ", gates[i].flag.c_str(), gates[i].requested,
+                 gates[i].applied);
+  }
+  std::fprintf(f, "],\n  \"results\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& cell = cells[i];
     std::fprintf(f,
@@ -1185,6 +1215,32 @@ int run(int argc, char** argv) {
   if (drift) std::printf("discounted lambda: %.4f\n", drift_lambda);
   std::printf("\n");
 
+  // The bars this run enforces, recorded in the JSON next to the bars the
+  // flags asked for. Read scaling is the one gate that adapts to the host:
+  // a 16-client 4x target is physically unreachable on a 1- or 2-core
+  // host, so it asks only for 0.75x the hardware threads, and it applies
+  // only to a closed-loop sweep of more than one client count.
+  double scaling_bar = 0.0;
+  if (min_scaling > 0.0 && arrival_rate == 0.0 && client_list.size() > 1) {
+    const double hw = std::max(1u, std::thread::hardware_concurrency());
+    scaling_bar = std::min(min_scaling, 0.75 * hw);
+    if (scaling_bar <= 1.0) scaling_bar = 0.0;
+  }
+  std::vector<GateBar> gates;
+  auto record_gate = [&gates](const char* flag, double requested, double applied) {
+    if (requested > 0.0) gates.push_back({flag, requested, applied});
+  };
+  if (read_scaling) record_gate("min-scaling", min_scaling, scaling_bar);
+  if (decide) record_gate("min-decide-speedup", min_decide_speedup, min_decide_speedup);
+  if (drift) {
+    record_gate("max-post-shift-regret-ratio", max_post_shift_ratio,
+                max_post_shift_ratio);
+  }
+  if (async_sync) record_gate("max-p99-ratio", max_p99_ratio, max_p99_ratio);
+  if (sync || async_sync || fleet) {
+    record_gate("max-regret-ratio", max_regret_ratio, max_regret_ratio);
+  }
+
   std::vector<CellResult> cells;
   bool gate_failed = false;
   if (decide) {
@@ -1338,22 +1394,16 @@ int run(int argc, char** argv) {
                        bw::format_double(cell.recommend_p99_us, 2),
                        bw::format_double(cell.recommend_p999_us, 2),
                        bw::format_double(scaling, 2) + "x"});
-        if (min_scaling > 0.0 && arrival_rate == 0.0 &&
-            num_clients == client_list.back() && client_list.size() > 1) {
-          // A 16-client 4x target is physically unreachable on a 1- or
-          // 2-core host; ask only for what the hardware can deliver.
-          const double hw = std::max(1u, std::thread::hardware_concurrency());
-          const double required = std::min(min_scaling, 0.75 * hw);
-          if (required > 1.0 && scaling < required) {
-            std::fprintf(stderr,
-                         "FAIL: %zu-shard %zu-client throughput %.0f/s is only "
-                         "%.2fx the %zu-client baseline %.0f/s (limit %.2fx, "
-                         "requested %.2fx, %u hardware threads)\n",
-                         shards, num_clients, cell.decisions_per_s, scaling,
-                         client_list.front(), baseline, required, min_scaling,
-                         std::thread::hardware_concurrency());
-            gate_failed = true;
-          }
+        if (scaling_bar > 0.0 && num_clients == client_list.back() &&
+            scaling < scaling_bar) {
+          std::fprintf(stderr,
+                       "FAIL: %zu-shard %zu-client throughput %.0f/s is only "
+                       "%.2fx the %zu-client baseline %.0f/s (limit %.2fx, "
+                       "requested %.2fx, %u hardware threads)\n",
+                       shards, num_clients, cell.decisions_per_s, scaling,
+                       client_list.front(), baseline, scaling_bar, min_scaling,
+                       std::thread::hardware_concurrency());
+          gate_failed = true;
         }
       }
     }
@@ -1468,6 +1518,6 @@ int run(int argc, char** argv) {
     std::fputs(table.to_string().c_str(), stdout);
   }
   write_json(cli.get("json"), workload, read_heavy ? read_frac : 0.0,
-             read_heavy || read_scaling ? clients : 1, cells);
+             read_heavy || read_scaling ? clients : 1, gates, cells);
   return gate_failed ? 1 : 0;
 }

@@ -130,11 +130,12 @@ class BanditWare {
                                const BanditWareStats& stats);
 
   /// Immutable snapshot of the greedy serving surface (core/frozen_model.hpp)
-  /// — what the serve layer publishes behind an atomically-swapped pointer so
-  /// pure-exploitation recommends never touch a shard lock. O(arms * d): only
-  /// the fitted per-arm LinearModel is copied, never the O(d^2) sufficient
-  /// statistics. `epoch` is the publisher's per-shard publication counter,
-  /// carried inside the snapshot for reader-side monotonicity checks.
+  /// — what the serve layer publishes per shard, behind an epoch its reader
+  /// threads' caches revalidate against, so pure-exploitation recommends
+  /// never touch a shard lock. O(arms * d): only the fitted per-arm
+  /// LinearModel is copied, never the O(d^2) sufficient statistics.
+  /// `epoch` is the publisher's per-shard publication counter, carried
+  /// inside the snapshot for reader-side monotonicity checks.
   std::shared_ptr<const FrozenModel> freeze(std::uint64_t epoch = 0) const;
 
   /// Delta-rebuild of `prev` after a write: allocates fresh nodes only for

@@ -1,10 +1,12 @@
 #pragma once
 // FrozenModel — an immutable, structurally-shared snapshot of a BanditWare
 // instance's greedy serving surface (the tolerant-greedy pass every policy
-// kind shares). The serve layer publishes one of these per shard behind an
-// atomically-swapped shared_ptr (RCU-style), so a pure-exploitation
-// recommend is a wait-free pointer load plus a predict against frozen state
-// — no shard mutex touched (ROADMAP "Read publication").
+// kind shares). The serve layer publishes one of these per shard and each
+// reader thread caches its own reference, revalidated by one load of the
+// shard's publication epoch (RCU-style), so a pure-exploitation recommend
+// is a predict against frozen state — no shard mutex touched and, while
+// the shard has not republished, no shared memory written (ROADMAP "Read
+// publication").
 //
 // A snapshot holds exactly what the greedy pass reads and nothing else: one
 // fitted linalg::LinearModel per arm (O(d) doubles — not the O(d^2)
@@ -37,8 +39,8 @@
 // dirty columns, so the delta publish stays one memcpy plus O(dirty * d).
 //
 // Instances are deeply immutable after construction and safe to read from
-// any number of threads with no synchronization beyond the pointer load
-// that obtained them. Build them via BanditWare::freeze / refreeze.
+// any number of threads with no synchronization beyond the publication
+// that handed them out. Build them via BanditWare::freeze / refreeze.
 
 #include <cstdint>
 #include <memory>

@@ -64,8 +64,8 @@ std::vector<core::BanditWare> make_replicas(const hw::HardwareCatalog& catalog,
 constexpr std::uint64_t kRrTicketBlock = 16;
 
 /// Per-thread cache of the current ticket block. `tag` names the server
-/// instance that issued it (see BanditServer::rr_tag_); a mismatch — a
-/// different server, or the same address recycled — refills from that
+/// instance that issued it (see BanditServer::instance_tag_); a mismatch —
+/// a different server, or the same address recycled — refills from that
 /// server's own counter.
 struct RrCursor {
   std::uint64_t tag = 0;  ///< 0 = empty (valid tags start at 1)
@@ -74,7 +74,23 @@ struct RrCursor {
 };
 thread_local RrCursor t_rr_cursor;
 
-std::uint64_t next_rr_tag() {
+/// Per-thread cache of one server's published snapshots, one entry per
+/// shard (see BanditServer::snapshot). `tag` names the server instance the
+/// entries belong to; a read of any other server drops them all, so a
+/// thread holds at most one snapshot per shard of one server.
+struct SnapshotCache {
+  /// Never a real epoch: an entry with it is empty and always misses.
+  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
+  struct Entry {
+    std::uint64_t epoch = kNoEpoch;
+    std::shared_ptr<const core::FrozenModel> model;
+  };
+  std::uint64_t tag = 0;  ///< 0 = empty (valid tags start at 1)
+  std::vector<Entry> shards;
+};
+thread_local SnapshotCache t_snapshots;
+
+std::uint64_t next_instance_tag() {
   static std::atomic<std::uint64_t> source{0};
   return source.fetch_add(1, std::memory_order_relaxed) + 1;
 }
@@ -131,7 +147,7 @@ BanditServer::BanditServer(hw::HardwareCatalog catalog,
 BanditServer::BanditServer(BanditServerConfig config,
                            std::vector<core::BanditWare> replicas,
                            std::unique_ptr<core::BanditWare> sync_base)
-    : config_(config), rr_tag_(next_rr_tag()) {
+    : config_(config), instance_tag_(next_instance_tag()) {
   BW_CHECK_MSG(!replicas.empty(), "BanditServer needs at least one shard replica");
   config_.num_shards = replicas.size();
   feature_names_ = replicas.front().feature_names();
@@ -171,8 +187,9 @@ BanditServer::BanditServer(BanditServer&& other) noexcept
       pool_(std::move(other.pool_)),
       rr_counter_(other.rr_counter_.load(std::memory_order_relaxed)),
       // A fresh tag, not other's: threads holding blocks claimed from the
-      // source must refill here instead of striding a moved-from counter.
-      rr_tag_(next_rr_tag()),
+      // source must refill here instead of striding a moved-from counter,
+      // and threads caching the source's snapshots must miss here.
+      instance_tag_(next_instance_tag()),
       sync_base_(std::move(other.sync_base_)),
       base_obs_count_(other.base_obs_count_.load(std::memory_order_relaxed)),
       observe_batches_(other.observe_batches_.load(std::memory_order_relaxed)),
@@ -209,8 +226,8 @@ std::uint64_t BanditServer::next_rr_ticket() {
   // fair to within one block per thread (a thread's unused tail is at most
   // kRrTicketBlock-1 tickets, each landing on a distinct shard).
   RrCursor& cursor = t_rr_cursor;
-  if (cursor.tag != rr_tag_ || cursor.next == cursor.end) {
-    cursor.tag = rr_tag_;
+  if (cursor.tag != instance_tag_ || cursor.next == cursor.end) {
+    cursor.tag = instance_tag_;
     cursor.next = rr_counter_.fetch_add(kRrTicketBlock, std::memory_order_relaxed);
     cursor.end = cursor.next + kRrTicketBlock;
   }
@@ -247,38 +264,76 @@ ServeDecision BanditServer::decide_frozen(const core::FrozenModel& model,
   return out;
 }
 
+const std::shared_ptr<const core::FrozenModel>& BanditServer::snapshot(
+    std::size_t index) const {
+  SnapshotCache& cache = t_snapshots;
+  if (cache.tag != instance_tag_) {
+    // First read of this server on this thread: let go of the previous
+    // server's snapshots.
+    cache.shards.assign(shards_.size(), SnapshotCache::Entry{});
+    cache.tag = instance_tag_;
+  }
+  SnapshotCache::Entry& entry = cache.shards[index];
+  const Shard& shard = *shards_[index];
+  // The hit path is one acquire load of a cache line that only publishes
+  // write. It pairs with publish_locked's release store, so a thread that
+  // sees a new epoch also sees the slot holding that epoch's snapshot.
+  if (entry.epoch != shard.epoch.load(std::memory_order_acquire)) {
+    std::shared_ptr<const core::FrozenModel> fresh;
+    {
+      std::lock_guard lock(shard.slot_mutex);
+      fresh = shard.slot;
+    }
+    entry.epoch = fresh->epoch();
+    // Drops this thread's reference to the replaced snapshot (usually the
+    // last one) outside the slot mutex.
+    entry.model = std::move(fresh);
+  }
+  return entry.model;
+}
+
+void BanditServer::publish_locked(Shard& shard,
+                                  std::shared_ptr<const core::FrozenModel> model) {
+  {
+    std::lock_guard lock(shard.slot_mutex);
+    shard.slot.swap(model);
+    shard.epoch.store(shard.slot->epoch(), std::memory_order_release);
+  }
+  // `model` now holds the replaced snapshot; whatever this releases is
+  // freed here, outside the slot mutex (readers still caching it keep it).
+}
+
 void BanditServer::republish_locked(Shard& shard) {
-  shard.published.store(shard.bandit.freeze(++shard.publish_epoch),
-                        std::memory_order_release);
+  // The exclusive shard lock makes this the only publisher, so the epoch
+  // and the slot can be read without the slot mutex.
+  const std::uint64_t next = shard.epoch.load(std::memory_order_relaxed) + 1;
+  publish_locked(shard, shard.bandit.freeze(next));
 }
 
 void BanditServer::republish_locked(Shard& shard,
                                     std::span<const core::ArmIndex> dirty) {
-  // Relaxed load is enough: the exclusive shard lock makes us the only
-  // publisher, so the previous snapshot is whatever we (or a predecessor
-  // under this lock) last stored.
-  const auto prev = shard.published.load(std::memory_order_relaxed);
-  shard.published.store(shard.bandit.refreeze(*prev, dirty, ++shard.publish_epoch),
-                        std::memory_order_release);
+  const std::uint64_t next = shard.epoch.load(std::memory_order_relaxed) + 1;
+  publish_locked(shard, shard.bandit.refreeze(*shard.slot, dirty, next));
 }
 
 ServeDecision BanditServer::recommend_greedy(const core::FeatureVector& x) {
   const std::size_t index = route(x);
-  // The lock-free read path: one atomic snapshot load, predict against
-  // frozen immutable state. The shard mutex is never touched, so greedy
-  // reads scale with client threads and never wait out a sync swap.
-  const auto model = shards_[index]->published.load(std::memory_order_acquire);
-  return decide_frozen(*model, index, x);
+  // The lock-free read path: this thread's cached snapshot, revalidated
+  // by one epoch load, and a predict against frozen immutable state. The
+  // shard mutex is never touched, so greedy reads scale with client
+  // threads and never wait out a sync swap.
+  return decide_frozen(*snapshot(index), index, x);
 }
 
 std::shared_ptr<const core::FrozenModel> BanditServer::published_model(
     std::size_t shard) const {
   BW_CHECK_MSG(shard < shards_.size(), "published_model: unknown shard");
-  return shards_[shard]->published.load(std::memory_order_acquire);
+  return snapshot(shard);
 }
 
 std::uint64_t BanditServer::published_epoch(std::size_t shard) const {
-  return published_model(shard)->epoch();
+  BW_CHECK_MSG(shard < shards_.size(), "published_epoch: unknown shard");
+  return snapshot(shard)->epoch();
 }
 
 ServeDecision BanditServer::recommend_one(const core::FeatureVector& x) {
@@ -326,7 +381,7 @@ std::vector<ServeDecision> BanditServer::recommend_greedy_batch(
 
   // Lock-free read path, served inline: route serially (ascending i keeps
   // round-robin deterministic for a batch), group per shard, then serve
-  // each group from one published-snapshot load with one blocked
+  // each group from one cached-snapshot lookup with one blocked
   // score_block pass over the snapshot's coefficient plane. No locks, no
   // pool dispatch — read-heavy deployments bring their concurrency as
   // client threads; the win here is amortizing the weight-plane traversal
@@ -350,9 +405,8 @@ std::vector<ServeDecision> BanditServer::recommend_greedy_batch(
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const std::vector<std::size_t>& items = by_shard[s];
     if (items.empty()) continue;
-    const auto model = shards_[s]->published.load(std::memory_order_acquire);
     choices.resize(items.size());
-    model->recommend_greedy_batch(xs, items, choices);
+    snapshot(s)->recommend_greedy_batch(xs, items, choices);
     for (std::size_t j = 0; j < items.size(); ++j) {
       const core::TolerantChoice& choice = choices[j];
       ServeDecision& out = results[items[j]];
@@ -691,7 +745,7 @@ bool BanditServer::sync_publish() {
     // Re-freeze inside the exclusive window: a freeze only copies the
     // O(arms * d) fitted weights, so the window stays short, and lock-free
     // readers never observe a half-published generation — they flip from
-    // the old snapshot to the fully fused one in a single pointer swap.
+    // the old snapshot to the fully fused one at a single epoch store.
     republish_locked(*shards_[s]);
   }
   *sync_base_ = std::move(*staging_.fused);

@@ -47,22 +47,27 @@
 //     never block on fusion math.
 //
 // Read publication (RCU-style lock-free reads): each shard additionally
-// publishes its model's greedy surface as an immutable core::FrozenModel
-// behind an atomically-swapped shared_ptr. A pure-exploitation recommend is
-// one atomic pointer load plus a predict against frozen state — it never
-// touches the shard mutex, so read-heavy throughput scales with client
-// threads instead of serializing on shared-lock cacheline traffic. Every
-// writer funnels through one build-and-swap idiom under the exclusive shard
-// lock: observes refreeze only the arms they touched (structural sharing —
-// O(dirty * d + arms) per publish), batch observes coalesce into one
-// refreeze per shard per batch, and the sync paths (inline sync_shards and
-// the async fuser's publish window) re-freeze the whole shard after
-// swapping in the fused model. Readers therefore see either the old or the
-// new snapshot, never a half-published one, and the per-shard publication
-// epoch (FrozenModel::epoch) is monotone under the write lock. The shared
-// lock still guards everything that is not a frozen read: exploring
-// recommends (they consume the shard RNG), predictions(), counts, and
-// snapshots.
+// publishes its model's greedy surface as an immutable core::FrozenModel,
+// and every reader thread keeps its own cached reference to each shard's
+// snapshot, revalidated by one acquire load of the shard's publication
+// epoch. A pure-exploitation recommend whose shard has not republished
+// since the thread's last read is that epoch load plus a predict against
+// frozen state — it writes no shared memory and never touches the shard
+// mutex, so read-heavy throughput scales with client threads instead of
+// serializing on refcount or lock cacheline traffic. Only a read that
+// finds the epoch moved takes the shard's small slot mutex to copy the new
+// snapshot. Every writer funnels through one build-and-swap idiom under
+// the exclusive shard lock: observes refreeze only the arms they touched
+// (structural sharing — O(dirty * d + arms) per publish), batch observes
+// coalesce into one refreeze per shard per batch, and the sync paths
+// (inline sync_shards and the async fuser's publish window) re-freeze the
+// whole shard after swapping in the fused model; the swap stores the new
+// snapshot under the slot mutex and then release-stores its epoch.
+// Readers therefore see either the old or the new snapshot, never a
+// half-published one, and each thread's snapshot sequence per shard is
+// monotone in epoch. The shared lock still guards everything that is not
+// a frozen read: exploring recommends (they consume the shard RNG),
+// predictions(), counts, and snapshots.
 //
 // Snapshots are atomic (all shard locks held) and built on the facade's
 // plain-text snapshots, so save -> load -> save is byte-identical. Like
@@ -182,13 +187,13 @@ class BanditServer {
   std::size_t shard_of(const core::FeatureVector& x) const;
 
   /// Serves one decision. Pure-exploitation engines (config.explore ==
-  /// false) serve from the shard's published snapshot — one atomic pointer
-  /// load, no lock; exploring engines lock their shard exclusively (the
-  /// pick consumes the shard RNG).
+  /// false) serve from the shard's published snapshot through the calling
+  /// thread's snapshot cache, no lock; exploring engines lock their shard
+  /// exclusively (the pick consumes the shard RNG).
   ServeDecision recommend_one(const core::FeatureVector& x);
 
   /// Serves a batch. Pure-exploitation engines serve inline on the calling
-  /// thread from one published-snapshot load per shard-group — no locks, no
+  /// thread from one cached-snapshot lookup per shard-group — no locks, no
   /// pool dispatch (the per-item work is an O(arms * d) prediction pass;
   /// client-side concurrency supplies the parallelism in read-heavy
   /// serving). Exploring engines group per shard and fan out on the
@@ -197,14 +202,23 @@ class BanditServer {
 
   /// The lock-free read path, independent of config.explore: routes x and
   /// serves the tolerant-greedy recommendation from the shard's published
-  /// immutable snapshot (`explored` is always false). This is what
+  /// immutable snapshot (`explored` is always false). The snapshot comes
+  /// from the calling thread's cache: one acquire load of the shard's
+  /// publication epoch, plus a slot-mutex copy only when the shard has
+  /// republished since this thread last read it. This is what
   /// recommend_one/recommend_batch run in pure-exploitation mode; exposed
   /// so mixed deployments (and the publication-protocol tests) can issue
   /// greedy reads against an exploring engine without touching its locks.
+  ///
+  /// Snapshot lifetime: a thread's cache holds at most one snapshot per
+  /// shard of one server. A cached snapshot the shard has since replaced is
+  /// released on the thread's next read of that shard, on its first read
+  /// of another server, or at thread exit.
   ServeDecision recommend_greedy(const core::FeatureVector& x);
 
-  /// Batched lock-free reads: routes every context, groups per shard, loads
-  /// each group's published snapshot once, and scores the whole group with
+  /// Batched lock-free reads: routes every context, groups per shard, takes
+  /// each group's snapshot from the thread's cache once (as in
+  /// recommend_greedy), and scores the whole group with
   /// one blocked GEMM-shaped pass over the snapshot's coefficient plane
   /// (core::FrozenModel::recommend_greedy_batch) — amortizing one traversal
   /// of the arms x (d+1) weight matrix across the group instead of
@@ -214,8 +228,10 @@ class BanditServer {
   std::vector<ServeDecision> recommend_greedy_batch(
       const std::vector<core::FeatureVector>& xs);
 
-  /// The shard's currently published snapshot / its publication epoch (one
-  /// atomic load; epochs are monotone per shard). Monitoring + test hooks.
+  /// The shard's currently published snapshot / its publication epoch,
+  /// read through the same per-thread cache as recommend_greedy, so one
+  /// thread sees one monotone snapshot sequence per shard across all four
+  /// read entry points. Monitoring + test hooks.
   std::shared_ptr<const core::FrozenModel> published_model(std::size_t shard) const;
   std::uint64_t published_epoch(std::size_t shard) const;
 
@@ -339,9 +355,11 @@ class BanditServer {
   friend struct bw::io::StateAccess;
 
   // Concurrency model per shard:
-  //   * Lock-free reads — pure-exploitation recommends load `published`
-  //     (an immutable FrozenModel behind std::atomic<shared_ptr>) and never
-  //     touch the mutex. Writers swap in a fresh snapshot before releasing
+  //   * Lock-free reads — pure-exploitation recommends take the shard's
+  //     published snapshot from their thread's cache (snapshot()), which
+  //     revalidates with one acquire load of `epoch`; only a read that
+  //     finds the epoch moved copies `slot` under `slot_mutex`. They never
+  //     touch `mutex`. Writers swap in a fresh snapshot before releasing
   //     the exclusive lock, so a read sees either the pre- or post-write
   //     model, never a torn one.
   //   * Exclusive mutex — observes, sync swaps, and exploring recommends.
@@ -356,15 +374,18 @@ class BanditServer {
     mutable std::shared_mutex mutex;
     core::BanditWare bandit;
     Rng rng;
-    /// Epoch-published immutable snapshot of `bandit`'s greedy surface.
-    /// Readers: one atomic load, any thread, no lock. Writers: rebuilt and
-    /// swapped under the exclusive mutex (single writer at a time, so
-    /// `publish_epoch` below needs no atomicity of its own).
-    std::atomic<std::shared_ptr<const core::FrozenModel>> published;
-    std::uint64_t publish_epoch = 0;  ///< guarded by mutex (writers only)
-    Shard(core::BanditWare b, std::uint64_t seed) : bandit(std::move(b)), rng(seed) {
-      published.store(bandit.freeze(publish_epoch), std::memory_order_release);
-    }
+    /// The published snapshot of `bandit`'s greedy surface. Written only
+    /// with both `mutex` (exclusive) and `slot_mutex` held, so a writer may
+    /// read it under `mutex` alone; reader cache misses copy it under
+    /// `slot_mutex`, which nothing else takes.
+    std::shared_ptr<const core::FrozenModel> slot;
+    mutable std::mutex slot_mutex;
+    /// slot->epoch(), release-stored after every swap. It sits alone on the
+    /// struct's last cache line (alignas plus the padding that rounds the
+    /// struct's size), so shard-lock and slot traffic never invalidate it.
+    alignas(64) std::atomic<std::uint64_t> epoch{0};
+    Shard(core::BanditWare b, std::uint64_t seed)
+        : bandit(std::move(b)), rng(seed), slot(bandit.freeze(0)) {}
   };
 
   /// One in-flight async round: staged statistics, then their fused result.
@@ -393,12 +414,19 @@ class BanditServer {
                               const core::FeatureVector& x);
   ServeDecision decide_frozen(const core::FrozenModel& model, std::size_t shard_index,
                               const core::FeatureVector& x) const;
+  /// The read side of publication: the calling thread's cached snapshot of
+  /// shard `index`, refreshed if the shard republished since this thread
+  /// last read it. The reference stays valid until this thread's next
+  /// snapshot() call on another server or on this shard.
+  const std::shared_ptr<const core::FrozenModel>& snapshot(std::size_t index) const;
   /// Build-and-swap: the one write-side publication idiom. Both run with
   /// the shard mutex held exclusive; `dirty` lists the arms the write
   /// touched (refreeze shares every other node with the previous snapshot),
   /// the no-argument form re-freezes the whole model (sync swaps).
   void republish_locked(Shard& shard);
   void republish_locked(Shard& shard, std::span<const core::ArmIndex> dirty);
+  static void publish_locked(Shard& shard,
+                             std::shared_ptr<const core::FrozenModel> model);
   void validate_observation(const ServeObservation& obs) const;
   void fuser_loop();
   void ensure_fuser_locked();
@@ -418,11 +446,12 @@ class BanditServer {
   /// mark, not a request count. Snapshots persist it so a restored engine
   /// keeps rotating from where it left off.
   std::atomic<std::uint64_t> rr_counter_{0};
-  /// Process-unique identity for the thread-local ticket-block cache: a
-  /// cached block is only valid for the server instance that issued it
-  /// (fresh per construction and per move, so a recycled address or a
-  /// moved-from engine can never leak another server's tickets).
-  std::uint64_t rr_tag_ = 0;
+  /// Process-unique identity for the thread-local caches (round-robin
+  /// ticket blocks and published snapshots): a cached entry is only valid
+  /// for the server instance that filled it (fresh per construction and
+  /// per move, so a recycled address or a moved-from engine can never leak
+  /// another server's tickets or snapshots).
+  std::uint64_t instance_tag_ = 0;
 
   /// Generation lock. Exclusive: anything that swaps the baseline and the
   /// published models (inline sync_shards, async sync_publish). Shared:

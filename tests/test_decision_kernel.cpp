@@ -15,8 +15,9 @@
 //     a cloned-seed per-arm reference stream;
 //   * lifecycle — refreeze-after-dirty-write (delta plane vs full rebuild,
 //     node sharing by pointer identity), the dirty-plane scalar fallback
-//     after a direct arm mutation, and the empty-catalog ctor guard (the
-//     former ArmBank::dim() UB).
+//     after a direct arm mutation, the empty-catalog ctor guard (the
+//     former ArmBank::dim() UB), and grow-only scratch buffers across
+//     shape switches.
 //
 // The ASan and TSan CI jobs both run this file.
 
@@ -26,6 +27,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,7 @@
 #include "core/epsilon_greedy.hpp"
 #include "core/frozen_model.hpp"
 #include "core/linucb.hpp"
+#include "core/score_scratch.hpp"
 #include "core/thompson.hpp"
 #include "core/tolerant.hpp"
 #include "hardware/catalog.hpp"
@@ -384,6 +387,58 @@ TEST(DecisionKernel, EmptyCatalogThrowsEverywhere) {
   EXPECT_THROW(LinUcb(empty, 1, {}), InvalidArgument);
   EXPECT_THROW(LinearThompson(empty, 1, {}), InvalidArgument);
   EXPECT_THROW(BanditWare(empty, {"f"}, {}), InvalidArgument);
+}
+
+TEST(DecisionKernel, ScratchBuffersOnlyGrowAcrossShapeSwitches) {
+  // A thread that mixes one-context reads with greedy batches, or serves a
+  // multi-shard batch whose per-shard groups differ in size, must keep its
+  // scratch across the switch: same storage, same size, no re-zero-filled
+  // tail. widths is sized by arms alone (only batch-1 passes read it).
+  DecisionScratch scratch;
+  scratch.ensure(2048, 8, 8);
+  const double* scores = scratch.scores.data();
+  const double* widths = scratch.widths.data();
+  const double* panel = scratch.panel.data();
+  EXPECT_EQ(scratch.scores.size(), 2048u * 8u);
+  EXPECT_EQ(scratch.widths.size(), 2048u);
+  EXPECT_EQ(scratch.panel.size(), 9u * 8u);
+  auto expect_unchanged = [&](const char* what) {
+    EXPECT_EQ(scratch.scores.data(), scores) << what;
+    EXPECT_EQ(scratch.widths.data(), widths) << what;
+    EXPECT_EQ(scratch.panel.data(), panel) << what;
+    EXPECT_EQ(scratch.scores.size(), 2048u * 8u) << what;
+    EXPECT_EQ(scratch.widths.size(), 2048u) << what;
+    EXPECT_EQ(scratch.panel.size(), 9u * 8u) << what;
+  };
+  scratch.ensure(2048, 8, 1);
+  expect_unchanged("shrink to one context");
+  scratch.ensure(2048, 8, 3);
+  expect_unchanged("odd-sized group");
+  scratch.ensure(2048, 8, 8);
+  expect_unchanged("regrow to the batch");
+  scratch.ensure(64, 2, 1);
+  expect_unchanged("smaller catalog");
+
+  // The same through the per-thread scratch the frozen passes share:
+  // batch, single read, smaller batch, batch again.
+  const BanditWare bandit = trained_instance(PolicyKind::kEpsilonGreedy, 8, 256);
+  const auto frozen = bandit.freeze(1);
+  bw::Rng rng(29);
+  std::vector<FeatureVector> xs;
+  for (int q = 0; q < 8; ++q) xs.push_back(random_features(rng, 8));
+  (void)frozen->recommend_greedy_batch(xs);
+  DecisionScratch& local = DecisionScratch::local();
+  const double* local_scores = local.scores.data();
+  const double* local_panel = local.panel.data();
+  const std::size_t scores_size = local.scores.size();
+  const std::size_t panel_size = local.panel.size();
+  (void)frozen->recommend_choice(xs[0]);
+  (void)frozen->recommend_greedy_batch(std::span<const FeatureVector>(xs).first(3));
+  (void)frozen->recommend_greedy_batch(xs);
+  EXPECT_EQ(local.scores.data(), local_scores);
+  EXPECT_EQ(local.panel.data(), local_panel);
+  EXPECT_EQ(local.scores.size(), scores_size);
+  EXPECT_EQ(local.panel.size(), panel_size);
 }
 
 // ---- serve layer -------------------------------------------------------------

@@ -1,7 +1,8 @@
 // The lock-free read path: every shard publishes its greedy serving surface
-// as an immutable FrozenModel behind an atomically-swapped shared_ptr, and
-// pure-exploitation recommends are a wait-free pointer load + predict. These
-// tests pin the contract from both ends:
+// as an immutable FrozenModel, each reader thread caches a reference per
+// shard revalidated by one load of the shard's publication epoch, and
+// pure-exploitation recommends are that load + a predict. These tests pin
+// the contract from both ends:
 //
 //   * equivalence — a frozen decision is byte-identical to the decision the
 //     live locked model makes (per policy kind, before and after training);
@@ -10,14 +11,22 @@
 //     lags the live model at a quiescent point;
 //   * structural sharing — refreeze reuses the untouched arms' nodes (pinned
 //     by pointer identity) and the shared resource-cost table;
+//   * the thread cache — it never serves another server instance (even
+//     one built at the same address with epochs that coincide), holds a
+//     replaced snapshot only until the thread's next read of that shard or
+//     of another server (or its exit), and gives one thread one monotone
+//     snapshot sequence per shard across all four read entry points;
 //   * concurrency — real reader/writer/syncer threads race freely (the TSan
 //     CI job runs this file); readers assert per-shard epoch monotonicity.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -228,11 +237,212 @@ TEST(ReadPublication, FreezeValidatesShape) {
   EXPECT_THROW((void)small.refreeze(*snapshot, out_of_range, 2), bw::InvalidArgument);
 }
 
+TEST(ReadPublication, ThreadCacheNeverServesAServerRebuiltAtTheSameAddress) {
+  // The cache is keyed by the server's process-unique tag, not its address
+  // or its epochs. Server B is built where A lived and trained on the same
+  // contexts, so every shard reaches the epoch this thread cached for A —
+  // only its runtimes differ (the cpu axis inverted). A cache keyed on
+  // anything weaker would keep serving A's snapshots.
+  const hw::HardwareCatalog catalog = hw::ndp_catalog();
+  const BanditServerConfig config = serving_config(3);
+  const std::vector<std::string> features{"num_tasks"};
+  auto train_on = [&](BanditServer& server, bool inverted) {
+    for (int i = 0; i < 60; ++i) {
+      const double tasks = 25.0 + 13.0 * i;
+      const auto x = features_for(tasks);
+      const auto arm = static_cast<core::ArmIndex>(i % catalog.size());
+      const double cpus = catalog[arm].cpus;
+      const double runtime = inverted ? 5.0 + tasks * cpus / 64.0 : 5.0 + tasks / cpus;
+      server.observe_one({server.shard_of(x), arm, x, runtime});
+    }
+  };
+  std::vector<core::FeatureVector> xs;
+  for (double tasks = 20.0; tasks <= 500.0; tasks += 23.0) {
+    xs.push_back(features_for(tasks));
+  }
+
+  std::optional<BanditServer> server;
+  server.emplace(catalog, features, config);
+  train_on(*server, false);
+  std::vector<ServeDecision> first;
+  for (const auto& x : xs) first.push_back(server->recommend_greedy(x));
+  std::vector<std::uint64_t> epochs;
+  for (std::size_t s = 0; s < server->num_shards(); ++s) {
+    epochs.push_back(server->published_epoch(s));
+  }
+
+  server.reset();
+  server.emplace(catalog, features, config);
+  train_on(*server, true);
+  int changed = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const ServeDecision decision = server->recommend_greedy(xs[i]);
+    const core::TolerantChoice expected =
+        live_choice(*server, catalog, config, decision.shard, xs[i]);
+    EXPECT_EQ(decision.arm, expected.arm) << "i=" << i;
+    EXPECT_EQ(decision.predicted_runtime_s, expected.predicted_runtime) << "i=" << i;
+    if (decision.arm != first[i].arm) ++changed;
+  }
+  for (std::size_t s = 0; s < server->num_shards(); ++s) {
+    EXPECT_EQ(server->published_epoch(s), epochs[s]) << "shard=" << s;
+  }
+  EXPECT_GT(changed, 0);  // the two servers really decide differently
+}
+
+TEST(ReadPublication, CachedSnapshotLifetimeIsBoundedByTheThreadsNextRead) {
+  // The documented bound: a thread's cache keeps a replaced snapshot alive
+  // only until its next read of that shard, its first read of another
+  // server, or its exit.
+  const hw::HardwareCatalog catalog = hw::ndp_catalog();
+  BanditServer server(catalog, {"num_tasks"}, serving_config(1));
+  BanditServer other(catalog, {"num_tasks"}, serving_config(1));
+  train(server, catalog, 10);
+  const auto x = features_for(90.0);
+
+  // Next read of the shard after a publish.
+  std::weak_ptr<const core::FrozenModel> cached = server.published_model(0);
+  EXPECT_FALSE(cached.expired());
+  train(server, catalog, 1, 3.0);  // republish: only this thread's cache holds it
+  EXPECT_FALSE(cached.expired());
+  (void)server.recommend_greedy(x);
+  EXPECT_TRUE(cached.expired());
+
+  // First read of another server.
+  cached = server.published_model(0);
+  train(server, catalog, 1, 5.0);
+  EXPECT_FALSE(cached.expired());
+  (void)other.recommend_greedy(x);
+  EXPECT_TRUE(cached.expired());
+
+  // Thread exit.
+  std::thread reader([&] {
+    cached = server.published_model(0);
+    train(server, catalog, 1, 7.0);
+    EXPECT_FALSE(cached.expired());
+  });
+  reader.join();
+  EXPECT_TRUE(cached.expired());
+}
+
+TEST(ReadPublication, MixedEntryPointReadersSeeOneMonotoneSequencePerShard) {
+  // Real-thread readers cycle through all four read entry points while
+  // observe writers and a syncer republish. Every epoch a reader sees, from
+  // whichever entry point, must be monotone per shard; and a greedy read
+  // bracketed by two published_model calls that return the same snapshot
+  // must decide exactly like that snapshot (the bracketed-read check a
+  // monitoring client relies on).
+  const hw::HardwareCatalog catalog = hw::ndp_catalog();
+  const BanditServerConfig config = serving_config(3);
+  BanditServer server(catalog, {"num_tasks"}, config);
+  train(server, catalog, 20);
+
+  constexpr int kReaders = 3;
+  constexpr int kMinReadsPerReader = 1200;
+  constexpr int kWritesPerWriter = 300;
+  constexpr int kWriters = 3;  // observe_one, observe_batch, sync_shards
+  std::atomic<bool> start{false};
+  std::atomic<int> writers_done{0};
+  std::atomic<int> epoch_regressions{0};
+  std::atomic<int> bracket_mismatches{0};
+  std::atomic<int> bracketed_reads{0};
+
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      while (!start.load(std::memory_order_acquire)) {
+      }
+      std::vector<std::uint64_t> last(server.num_shards(), 0);
+      auto see = [&](std::size_t shard, std::uint64_t epoch) {
+        if (epoch < last[shard]) ++epoch_regressions;
+        last[shard] = std::max(last[shard], epoch);
+      };
+      // Keep reading until every writer is done, so reads span the races.
+      for (int i = 0; i < kMinReadsPerReader || writers_done.load() < kWriters; ++i) {
+        const auto x = features_for(20.0 + ((r * 131 + i * 17) % 480));
+        const std::size_t shard = server.shard_of(x);
+        switch (i % 4) {
+          case 0: {
+            const auto before = server.published_model(shard);
+            see(shard, before->epoch());
+            const ServeDecision decision = server.recommend_greedy(x);
+            const auto after = server.published_model(shard);
+            see(shard, after->epoch());
+            if (before == after) {
+              ++bracketed_reads;
+              const core::TolerantChoice ref = before->recommend_choice_scalar(x);
+              if (ref.arm != decision.arm ||
+                  ref.predicted_runtime != decision.predicted_runtime_s) {
+                ++bracket_mismatches;
+              }
+            }
+            break;
+          }
+          case 1: {
+            std::vector<core::FeatureVector> xs;
+            for (int j = 0; j < 5; ++j) xs.push_back(features_for(30.0 + 41.0 * j + i));
+            for (const ServeDecision& decision : server.recommend_greedy_batch(xs)) {
+              see(decision.shard, server.published_epoch(decision.shard));
+            }
+            break;
+          }
+          case 2:
+            see(shard, server.published_model(shard)->epoch());
+            break;
+          default:
+            see(shard, server.published_epoch(shard));
+            break;
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!start.load(std::memory_order_acquire)) {
+    }
+    for (int i = 0; i < kWritesPerWriter; ++i) {
+      const double tasks = 30.0 + ((i * 7) % 450);
+      const auto x = features_for(tasks);
+      const auto arm = static_cast<core::ArmIndex>(i % catalog.size());
+      server.observe_one({server.shard_of(x), arm, x,
+                          synthetic_runtime(catalog[arm], tasks)});
+    }
+    ++writers_done;
+  });
+  threads.emplace_back([&] {
+    while (!start.load(std::memory_order_acquire)) {
+    }
+    for (int i = 0; i < kWritesPerWriter / 4; ++i) {
+      std::vector<ServeObservation> batch;
+      for (int j = 0; j < 4; ++j) {
+        const double tasks = 35.0 + ((i * 29 + j * 97) % 440);
+        const auto x = features_for(tasks);
+        const auto arm = static_cast<core::ArmIndex>((i + j) % catalog.size());
+        batch.push_back({server.shard_of(x), arm, x,
+                         synthetic_runtime(catalog[arm], tasks)});
+      }
+      server.observe_batch(batch);
+    }
+    ++writers_done;
+  });
+  threads.emplace_back([&] {
+    while (!start.load(std::memory_order_acquire)) {
+    }
+    for (int i = 0; i < 25; ++i) server.sync_shards();
+    ++writers_done;
+  });
+
+  start.store(true, std::memory_order_release);
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(epoch_regressions.load(), 0);
+  EXPECT_EQ(bracket_mismatches.load(), 0);
+  EXPECT_GT(bracketed_reads.load(), 0);
+}
+
 TEST(ReadPublication, ConcurrentReadersNeverSeeEpochsMoveBackwards) {
   // Real threads, real races: readers hammer the lock-free path while
   // writers observe and a syncer forces full republishes. Run under TSan in
   // CI. Each reader asserts per-shard epoch monotonicity — the one ordering
-  // guarantee the protocol makes to a wait-free reader.
+  // guarantee the protocol makes to a lock-free reader.
   const hw::HardwareCatalog catalog = hw::ndp_catalog();
   const BanditServerConfig config = serving_config(2);
   BanditServer server(catalog, {"num_tasks"}, config);
