@@ -94,8 +94,10 @@
 //     pure-exploitation engine on a synthetic catalog of --arms arms
 //     (sweeps every entry; default 8,64,512), timed on decisions only.
 //     Three modes per arm count: scalar (the per-node pointer-chase
-//     reference, FrozenModel::recommend_choice_scalar), vector (one
-//     matrix-vector pass over the snapshot's coefficient plane per
+//     reference: one heap-allocated linalg::LinearModel per arm, built
+//     from the snapshot's plane columns before the clock starts, scored by
+//     LinearModel::predict and then tolerant_select), vector (one
+//     score_block pass over the snapshot's coefficient plane per
 //     decision), and batch (server.recommend_batch — the blocked
 //     GEMM-shaped panel kernel — per --batches entry > 1). All three
 //     produce byte-identical decisions (tests/test_decision_kernel.cpp);
@@ -117,6 +119,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -130,6 +133,7 @@
 #include "hardware/catalog.hpp"
 #include "io/fleet_wire.hpp"
 #include "io/state_io.hpp"
+#include "linalg/lstsq.hpp"
 #include "serve/bandit_server.hpp"
 
 namespace {
@@ -845,10 +849,12 @@ CellResult run_fleet_cell(std::size_t num_nodes, std::size_t batch,
 /// One cell of the decide workload: a single-shard pure-exploitation engine
 /// pre-trained on a synthetic `arms`-sized catalog, then timed on decisions
 /// only (no observes, so the cell isolates the scoring pass). Modes:
-///   * scalar — FrozenModel::recommend_choice_scalar per context (the
-///     per-node pointer-chase reference path);
+///   * scalar — the per-node pointer-chase reference: one heap-allocated
+///     LinearModel per arm, rebuilt from the snapshot's plane columns
+///     before the clock starts; per context, LinearModel::predict per node
+///     and then tolerant_select;
 ///   * vector — FrozenModel::recommend_choice per context (one
-///     matrix-vector pass over the snapshot's coefficient plane);
+///     score_block pass over the snapshot's coefficient plane);
 ///   * batch  — server.recommend_batch with `batch` contexts per call (the
 ///     blocked GEMM-shaped panel kernel, shard routing included).
 CellResult run_decide_cell(std::size_t arms, const std::string& mode,
@@ -863,8 +869,8 @@ CellResult run_decide_cell(std::size_t arms, const std::string& mode,
   const bw::hw::HardwareCatalog catalog = synthetic_catalog(arms);
   bw::serve::BanditServer server(catalog, feature_names(), config);
 
-  // Pre-train two observations per arm so every row of the frozen plane
-  // carries a fitted model; chunked so the per-batch refreeze stays cheap.
+  // Pre-train two observations per arm so every column of the frozen
+  // plane carries a fitted model; chunked into 512-observation batches.
   {
     bw::Rng rng(5);
     std::vector<bw::serve::ServeObservation> warmup;
@@ -906,6 +912,22 @@ CellResult run_decide_cell(std::size_t arms, const std::string& mode,
     }
   }
 
+  // The scalar mode's heap nodes, one per arm, in arm order: the
+  // pointer-chase baseline the plane layout is gated against.
+  const auto model = server.published_model(0);
+  std::vector<std::shared_ptr<const bw::linalg::LinearModel>> nodes;
+  std::vector<double> node_scores;
+  if (mode == "scalar") {
+    for (bw::core::ArmIndex arm = 0; arm < model->num_arms(); ++arm) {
+      const std::vector<double> row = model->weight_row(arm);
+      bw::linalg::LinearModel node;
+      node.weights.assign(row.begin(), row.end() - 1);
+      node.bias = row.back();
+      nodes.push_back(std::make_shared<const bw::linalg::LinearModel>(std::move(node)));
+    }
+    node_scores.resize(nodes.size());
+  }
+
   // Best of 3 timed reps: the decide gate compares two sub-second cells, so
   // one scheduler hiccup in either leg can swing the ratio past the bar.
   // Taking each leg's fastest rep measures the kernel, not the interference.
@@ -922,13 +944,19 @@ CellResult run_decide_cell(std::size_t arms, const std::string& mode,
         next_panel = (next_panel + 1) % panels.size();
         served += server.recommend_batch(xs).size();
       }
-    } else {
-      const auto model = server.published_model(0);
-      const bool scalar = mode == "scalar";
+    } else if (mode == "scalar") {
       for (; served < decisions; ++served) {
         const auto& x = pool[served % kPoolSize];
-        const auto choice =
-            scalar ? model->recommend_choice_scalar(x) : model->recommend_choice(x);
+        for (std::size_t arm = 0; arm < nodes.size(); ++arm) {
+          node_scores[arm] = nodes[arm]->predict(x);
+        }
+        const auto choice = bw::core::tolerant_select(
+            node_scores, *model->shared_resource_costs(), model->tolerance());
+        (void)choice;
+      }
+    } else {
+      for (; served < decisions; ++served) {
+        const auto choice = model->recommend_choice(pool[served % kPoolSize]);
         (void)choice;
       }
     }

@@ -18,7 +18,8 @@ ArmBank::ArmBank(const hw::HardwareCatalog& catalog, std::size_t num_features,
   for (std::size_t i = 0; i < catalog.size(); ++i) {
     arms_.emplace_back(num_features, fit);
   }
-  resource_costs_ = catalog.resource_costs(weights);
+  resource_costs_ = std::make_shared<const std::vector<double>>(
+      catalog.resource_costs(weights));
   // Fresh arms are all-zero (w = b = 0), so the zero-initialized plane is
   // already in sync.
   theta_plane_.assign((dim_ + 1) * arms_.size(), 0.0);
@@ -35,15 +36,30 @@ void ArmBank::fill_plane_column(ArmIndex arm) {
   theta_plane_[dim_ * stride + arm] = model.bias;
 }
 
-void ArmBank::rebuild_plane() {
-  for (ArmIndex arm = 0; arm < arms_.size(); ++arm) fill_plane_column(arm);
-  plane_dirty_ = false;
-}
-
 void ArmBank::observe(ArmIndex arm, const FeatureVector& x, double runtime_s) {
   BW_CHECK_MSG(arm < arms_.size(), "arm index out of range");
-  if (plane_dirty_) rebuild_plane();
   arms_[arm].observe(x, runtime_s);
+  fill_plane_column(arm);
+}
+
+void ArmBank::restore_arm(ArmIndex arm, const linalg::Matrix& p,
+                          const linalg::Vector& theta, std::size_t n) {
+  BW_CHECK_MSG(arm < arms_.size(), "arm index out of range");
+  arms_[arm].restore_stats(p, theta, n);
+  fill_plane_column(arm);
+}
+
+void ArmBank::merge_arm(ArmIndex arm, const LinearArmModel& other,
+                        const LinearArmModel* base) {
+  BW_CHECK_MSG(arm < arms_.size(), "arm index out of range");
+  arms_[arm].merge(other, base);
+  fill_plane_column(arm);
+}
+
+void ArmBank::assign_arm(ArmIndex arm, const LinearArmModel& model) {
+  BW_CHECK_MSG(arm < arms_.size(), "arm index out of range");
+  BW_CHECK_MSG(model.dim() == dim_, "assign_arm: arm dimension mismatch");
+  arms_[arm] = model;
   fill_plane_column(arm);
 }
 
@@ -60,15 +76,6 @@ double ArmBank::variance_proxy(ArmIndex arm, const FeatureVector& x) const {
 void ArmBank::predict_all(const FeatureVector& x, std::span<double> out) const {
   BW_CHECK_MSG(x.size() == dim_, "feature vector size mismatch");
   BW_CHECK_MSG(out.size() == arms_.size(), "predict_all: output size mismatch");
-  if (plane_dirty_) {
-    // A non-observe mutation (merge/restore/widen) invalidated the plane.
-    // Const readers must not rebuild it — they may hold only a shared lock
-    // — so walk the arms directly; the FP order is identical either way.
-    for (ArmIndex arm = 0; arm < arms_.size(); ++arm) {
-      out[arm] = arms_[arm].predict(x);
-    }
-    return;
-  }
   static thread_local std::vector<double> xa;
   linalg::with_intercept_into(x, xa);
   linalg::score_block(theta_plane_.data(), arms_.size(), dim_ + 1, xa.data(), 1,
@@ -108,13 +115,7 @@ TolerantChoice ArmBank::recommend_choice(const FeatureVector& x) const {
   predict_all(x, std::span<double>(scratch.scores.data(), arms_.size()));
   return tolerant_select(
       std::span<const double>(scratch.scores.data(), arms_.size()),
-      resource_costs_, tolerance_);
-}
-
-LinearArmModel& ArmBank::arm(ArmIndex index) {
-  BW_CHECK_MSG(index < arms_.size(), "arm index out of range");
-  plane_dirty_ = true;
-  return arms_[index];
+      *resource_costs_, tolerance_);
 }
 
 const LinearArmModel& ArmBank::arm(ArmIndex index) const {
@@ -125,7 +126,6 @@ const LinearArmModel& ArmBank::arm(ArmIndex index) const {
 void ArmBank::reset() {
   for (auto& arm : arms_) arm.reset();
   theta_plane_.assign((dim_ + 1) * arms_.size(), 0.0);
-  plane_dirty_ = false;
 }
 
 }  // namespace bw::core

@@ -13,13 +13,12 @@
 // linalg::score_block streams) so bank-wide scoring (predict_all, the greedy
 // pass, LinUCB's LCB sweep, Thompson's draw loop) runs over contiguous
 // memory instead of re-walking one heap-backed model per arm. The plane is
-// refreshed eagerly in observe() — an exclusive-lock context in every
-// caller — and invalidated by the non-const arm() accessor, which is how
-// merge/restore/widen paths mutate arms behind the bank's back. While
-// dirty, const readers fall back to the per-arm scalar loop (byte-identical
-// results, no mutation from const paths, so shared-lock readers stay
-// race-free); the next observe() rebuilds the plane.
+// always valid: every write to an arm — observe, snapshot restore, merge,
+// the catalog-widening copy, reset — goes through a bank method that
+// refreshes that arm's column, and arms are read-only from outside. The
+// plane is also what BanditWare::freeze copies into a published snapshot.
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -44,9 +43,21 @@ class ArmBank {
   std::size_t dim() const { return dim_; }
 
   /// Records an observation on one arm (Alg. 1 lines 10-11) and refreshes
-  /// that arm's theta-plane column (rebuilding the whole plane first if a
-  /// non-const arm() access left it dirty).
+  /// that arm's theta-plane column.
   void observe(ArmIndex arm, const FeatureVector& x, double runtime_s);
+
+  /// Reinstates saved sufficient statistics on one arm (snapshot restore,
+  /// BanditWare::from_stats) and refreshes its column.
+  void restore_arm(ArmIndex arm, const linalg::Matrix& p, const linalg::Vector& theta,
+                   std::size_t n);
+
+  /// Folds another arm's evidence into one arm (LinearArmModel::merge,
+  /// `base` the common ancestor or null) and refreshes its column.
+  void merge_arm(ArmIndex arm, const LinearArmModel& other, const LinearArmModel* base);
+
+  /// Replaces one arm with a copy of `model` (catalog widening) and
+  /// refreshes its column.
+  void assign_arm(ArmIndex arm, const LinearArmModel& model);
 
   /// Current estimate R̂(H_arm, x).
   double predict(ArmIndex arm, const FeatureVector& x) const;
@@ -55,9 +66,8 @@ class ArmBank {
   /// bound and Thompson's posterior draw share.
   double variance_proxy(ArmIndex arm, const FeatureVector& x) const;
 
-  /// R̂ for every arm in one pass over the theta plane (scalar per-arm walk
-  /// while the plane is dirty — byte-identical either way). `out` must have
-  /// size() entries.
+  /// R̂ for every arm in one pass over the theta plane — bitwise equal to
+  /// calling predict per arm. `out` must have size() entries.
   void predict_all(const FeatureVector& x, std::span<double> out) const;
   std::vector<double> predict_all(const FeatureVector& x) const;
 
@@ -70,30 +80,33 @@ class ArmBank {
   /// pass into the shared per-thread DecisionScratch.
   TolerantChoice recommend_choice(const FeatureVector& x) const;
 
-  /// Non-const access marks the theta plane dirty: merge_from / restore /
-  /// catalog-widening paths mutate the arm without going through observe().
-  LinearArmModel& arm(ArmIndex index);
   const LinearArmModel& arm(ArmIndex index) const;
 
-  const std::vector<double>& resource_costs() const { return resource_costs_; }
+  /// The transposed (d+1) x size theta plane: column `arm` holds that arm's
+  /// [w; b], row kk holds coefficient kk across all arms.
+  const std::vector<double>& plane() const { return theta_plane_; }
+
+  /// The catalog's resource costs. Immutable and shared, so every copy of
+  /// the bank and every snapshot frozen from it hold the same table.
+  const std::shared_ptr<const std::vector<double>>& shared_resource_costs() const {
+    return resource_costs_;
+  }
   const ToleranceParams& tolerance() const { return tolerance_; }
 
   void reset();
 
  private:
   void fill_plane_column(ArmIndex arm);
-  void rebuild_plane();
 
   std::vector<LinearArmModel> arms_;
-  std::vector<double> resource_costs_;
+  std::shared_ptr<const std::vector<double>> resource_costs_;
   ToleranceParams tolerance_;
   std::size_t dim_ = 0;
   /// Transposed (d+1) x size plane mirroring each arm's [w; b] as a
-  /// column. Only written under the exclusive-lock contexts that may call
-  /// observe()/reset()/non-const arm(), so const readers under shared locks
-  /// never race on it.
+  /// column. Written only by the bank's mutating methods, which every
+  /// caller runs under an exclusive lock, so const readers under shared
+  /// locks never race on it.
   std::vector<double> theta_plane_;
-  bool plane_dirty_ = false;
 };
 
 }  // namespace bw::core

@@ -186,7 +186,7 @@ void BanditWare::merge_from(const BanditWare& other, const BanditWare* base) {
     // (indices are preserved; resource costs recompute from the catalog).
     BanditWare widened(merged_catalog, feature_names_, config_);
     for (ArmIndex arm = 0; arm < catalog_.size(); ++arm) {
-      widened.banked().arm_model(arm) = banked().arm_model(arm);
+      widened.banked().bank().assign_arm(arm, banked().arm_model(arm));
     }
     *this = std::move(widened);
   }
@@ -194,7 +194,7 @@ void BanditWare::merge_from(const BanditWare& other, const BanditWare* base) {
   for (ArmIndex j = 0; j < other.catalog_.size(); ++j) {
     const std::string& name = other.catalog_[j].name;
     const auto index = catalog_.index_of(name);
-    banked().arm_model(*index).merge(other.banked().arm_model(j), base_model_for(name));
+    banked().bank().merge_arm(*index, other.banked().arm_model(j), base_model_for(name));
   }
   if (auto* eps = eps_greedy()) eps->set_epsilon(merged_epsilon);
 }
@@ -218,7 +218,7 @@ BanditWare BanditWare::from_stats(const hw::HardwareCatalog& catalog,
   BanditWare restored(catalog, feature_names, config);
   for (ArmIndex arm = 0; arm < restored.num_arms(); ++arm) {
     const ArmStats& s = stats.arms[arm];
-    restored.banked().arm_model(arm).restore_stats(s.p, s.theta, s.n);
+    restored.banked().bank().restore_arm(arm, s.p, s.theta, s.n);
   }
   if (auto* eps = restored.eps_greedy()) eps->set_epsilon(stats.epsilon);
   return restored;
@@ -226,36 +226,8 @@ BanditWare BanditWare::from_stats(const hw::HardwareCatalog& catalog,
 
 std::shared_ptr<const FrozenModel> BanditWare::freeze(std::uint64_t epoch) const {
   const ArmBank& bank = banked().bank();
-  std::vector<std::shared_ptr<const FrozenArm>> arms;
-  arms.reserve(bank.size());
-  for (ArmIndex arm = 0; arm < bank.size(); ++arm) {
-    arms.push_back(std::make_shared<const FrozenArm>(FrozenArm{bank.arm(arm).model()}));
-  }
-  return std::make_shared<const FrozenModel>(
-      std::move(arms),
-      std::make_shared<const std::vector<double>>(bank.resource_costs()),
-      bank.tolerance(), feature_names_.size(), epoch);
-}
-
-std::shared_ptr<const FrozenModel> BanditWare::refreeze(const FrozenModel& prev,
-                                                        std::span<const ArmIndex> dirty,
-                                                        std::uint64_t epoch) const {
-  const ArmBank& bank = banked().bank();
-  BW_CHECK_MSG(prev.num_arms() == bank.size() && prev.dim() == feature_names_.size(),
-               "refreeze: previous snapshot shape mismatch");
-  std::vector<std::shared_ptr<const FrozenArm>> arms;
-  arms.reserve(bank.size());
-  for (ArmIndex arm = 0; arm < bank.size(); ++arm) arms.push_back(prev.arm_node(arm));
-  for (const ArmIndex arm : dirty) {
-    BW_CHECK_MSG(arm < bank.size(), "refreeze: dirty arm out of range");
-    arms[arm] = std::make_shared<const FrozenArm>(FrozenArm{bank.arm(arm).model()});
-  }
-  // Delta ctor: the coefficient plane is copied flat from `prev` and only
-  // the dirty rows are re-read from the new nodes.
-  return std::make_shared<const FrozenModel>(std::move(arms),
-                                             prev.shared_resource_costs(),
-                                             prev.tolerance(), prev.dim(), epoch,
-                                             prev, dirty);
+  return std::make_shared<const FrozenModel>(bank.plane(), bank.shared_resource_costs(),
+                                             bank.tolerance(), bank.dim(), epoch);
 }
 
 std::vector<double> BanditWare::predictions(const FeatureVector& x) const {

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -132,20 +131,12 @@ class BanditWare {
   /// Immutable snapshot of the greedy serving surface (core/frozen_model.hpp)
   /// — what the serve layer publishes per shard, behind an epoch its reader
   /// threads' caches revalidate against, so pure-exploitation recommends
-  /// never touch a shard lock. O(arms * d): only the fitted per-arm
-  /// LinearModel is copied, never the O(d^2) sufficient statistics.
-  /// `epoch` is the publisher's per-shard publication counter, carried
-  /// inside the snapshot for reader-side monotonicity checks.
+  /// never touch a shard lock. One copy of the bank's (d+1) x arms
+  /// coefficient plane, never the O(d^2) sufficient statistics; the
+  /// resource-cost table is shared, not copied. `epoch` is the publisher's
+  /// per-shard publication counter, carried inside the snapshot for
+  /// reader-side monotonicity checks.
   std::shared_ptr<const FrozenModel> freeze(std::uint64_t epoch = 0) const;
-
-  /// Delta-rebuild of `prev` after a write: allocates fresh nodes only for
-  /// the arms in `dirty` and shares every other node (and the resource-cost
-  /// table) with the previous snapshot — O(|dirty| * d + arms). `prev` must
-  /// have been frozen from a same-shape instance (same catalog size and
-  /// feature count); throws InvalidArgument otherwise.
-  std::shared_ptr<const FrozenModel> refreeze(const FrozenModel& prev,
-                                              std::span<const ArmIndex> dirty,
-                                              std::uint64_t epoch) const;
 
   /// R̂(H_i, x) for every arm.
   std::vector<double> predictions(const FeatureVector& x) const;

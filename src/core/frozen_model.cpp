@@ -6,88 +6,51 @@
 
 namespace bw::core {
 
-void FrozenModel::validate() const {
-  BW_CHECK_MSG(!arms_.empty(), "frozen model needs at least one arm");
-  BW_CHECK_MSG(resource_costs_ != nullptr && resource_costs_->size() == arms_.size(),
-               "frozen model: resource costs do not match the arms");
-  for (const auto& arm : arms_) {
-    BW_CHECK_MSG(arm != nullptr, "frozen model: null arm node");
-    BW_CHECK_MSG(arm->model.weights.size() == num_features_,
-                 "frozen model: arm weight dimension mismatch");
-  }
-  BW_CHECK_MSG(num_features_ > 0, "frozen model needs at least one feature");
-}
-
-void FrozenModel::fill_plane_column(ArmIndex arm) {
-  // The plane is transposed (k x arms, see gemm.hpp), so one arm's
-  // coefficients land as a strided column. Updates are rare (freeze and
-  // refreeze only); the layout is chosen for the read side, where the
-  // kernel streams unit-stride across arms.
-  const linalg::LinearModel& model = arms_[arm]->model;
-  const std::size_t stride = arms_.size();
-  for (std::size_t i = 0; i < num_features_; ++i) {
-    weight_plane_[i * stride + arm] = model.weights[i];
-  }
-  weight_plane_[num_features_ * stride + arm] = model.bias;
-}
-
-FrozenModel::FrozenModel(std::vector<std::shared_ptr<const FrozenArm>> arms,
+FrozenModel::FrozenModel(std::vector<double> weight_plane,
                          std::shared_ptr<const std::vector<double>> resource_costs,
                          ToleranceParams tolerance, std::size_t num_features,
                          std::uint64_t epoch)
-    : arms_(std::move(arms)),
+    : weight_plane_(std::move(weight_plane)),
       resource_costs_(std::move(resource_costs)),
       tolerance_(tolerance),
       num_features_(num_features),
       epoch_(epoch) {
-  validate();
-  weight_plane_.resize((num_features_ + 1) * arms_.size());
-  for (ArmIndex arm = 0; arm < arms_.size(); ++arm) fill_plane_column(arm);
-}
-
-FrozenModel::FrozenModel(std::vector<std::shared_ptr<const FrozenArm>> arms,
-                         std::shared_ptr<const std::vector<double>> resource_costs,
-                         ToleranceParams tolerance, std::size_t num_features,
-                         std::uint64_t epoch, const FrozenModel& prev,
-                         std::span<const ArmIndex> dirty)
-    : arms_(std::move(arms)),
-      resource_costs_(std::move(resource_costs)),
-      tolerance_(tolerance),
-      num_features_(num_features),
-      epoch_(epoch) {
-  validate();
-  BW_CHECK_MSG(
-      prev.arms_.size() == arms_.size() && prev.num_features_ == num_features_,
-      "frozen model: delta refreeze against a differently-shaped snapshot");
-  weight_plane_ = prev.weight_plane_;
-  for (ArmIndex arm : dirty) {
-    BW_CHECK_MSG(arm < arms_.size(), "frozen model: dirty arm out of range");
-    fill_plane_column(arm);
-  }
+  BW_CHECK_MSG(num_features_ > 0, "frozen model needs at least one feature");
+  BW_CHECK_MSG(resource_costs_ != nullptr && !resource_costs_->empty(),
+               "frozen model needs at least one arm");
+  num_arms_ = resource_costs_->size();
+  BW_CHECK_MSG(weight_plane_.size() == (num_features_ + 1) * num_arms_,
+               "frozen model: coefficient plane is not (d+1) x arms");
 }
 
 TolerantChoice FrozenModel::recommend_choice(const FeatureVector& x) const {
   BW_CHECK_MSG(x.size() == num_features_, "feature vector size mismatch");
   DecisionScratch& scratch = DecisionScratch::local();
-  scratch.ensure(arms_.size(), num_features_, 1);
+  scratch.ensure(num_arms_, num_features_, 1);
   for (std::size_t i = 0; i < num_features_; ++i) scratch.panel[i] = x[i];
   scratch.panel[num_features_] = 1.0;
-  linalg::score_block(weight_plane_.data(), arms_.size(), num_features_ + 1,
+  linalg::score_block(weight_plane_.data(), num_arms_, num_features_ + 1,
                       scratch.panel.data(), 1, scratch.scores.data());
   return tolerant_select(
-      std::span<const double>(scratch.scores.data(), arms_.size()),
+      std::span<const double>(scratch.scores.data(), num_arms_),
       *resource_costs_, tolerance_);
 }
 
 TolerantChoice FrozenModel::recommend_choice_scalar(const FeatureVector& x) const {
   BW_CHECK_MSG(x.size() == num_features_, "feature vector size mismatch");
   DecisionScratch& scratch = DecisionScratch::local();
-  scratch.ensure(arms_.size(), num_features_, 1);
-  for (ArmIndex arm = 0; arm < arms_.size(); ++arm) {
-    scratch.scores[arm] = arms_[arm]->model.predict(x);
+  scratch.ensure(num_arms_, num_features_, 1);
+  const double* bias = weight_plane_.data() + num_features_ * num_arms_;
+  for (ArmIndex arm = 0; arm < num_arms_; ++arm) {
+    // LinearModel::predict's order: dot(w, x) ascending from 0.0, then + b.
+    double acc = 0.0;
+    for (std::size_t i = 0; i < num_features_; ++i) {
+      acc += weight_plane_[i * num_arms_ + arm] * x[i];
+    }
+    scratch.scores[arm] = acc + bias[arm];
   }
   return tolerant_select(
-      std::span<const double>(scratch.scores.data(), arms_.size()),
+      std::span<const double>(scratch.scores.data(), num_arms_),
       *resource_costs_, tolerance_);
 }
 
@@ -99,7 +62,7 @@ void FrozenModel::recommend_greedy_batch(std::span<const FeatureVector> xs,
   if (items.empty()) return;
   const std::size_t b = items.size();
   DecisionScratch& scratch = DecisionScratch::local();
-  scratch.ensure(arms_.size(), num_features_, b);
+  scratch.ensure(num_arms_, num_features_, b);
   for (std::size_t j = 0; j < b; ++j) {
     BW_CHECK_MSG(items[j] < xs.size(), "recommend_greedy_batch: item out of range");
     const FeatureVector& x = xs[items[j]];
@@ -109,12 +72,11 @@ void FrozenModel::recommend_greedy_batch(std::span<const FeatureVector> xs,
     for (std::size_t kk = 0; kk < num_features_; ++kk) row[kk] = x[kk];
     row[num_features_] = 1.0;
   }
-  linalg::score_block(weight_plane_.data(), arms_.size(), num_features_ + 1,
+  linalg::score_block(weight_plane_.data(), num_arms_, num_features_ + 1,
                       scratch.panel.data(), b, scratch.scores.data());
   for (std::size_t j = 0; j < b; ++j) {
     out[j] = tolerant_select(
-        std::span<const double>(scratch.scores.data() + j * arms_.size(),
-                                arms_.size()),
+        std::span<const double>(scratch.scores.data() + j * num_arms_, num_arms_),
         *resource_costs_, tolerance_);
   }
 }
@@ -128,23 +90,13 @@ std::vector<TolerantChoice> FrozenModel::recommend_greedy_batch(
   return out;
 }
 
-double FrozenModel::predict(ArmIndex arm, const FeatureVector& x) const {
-  BW_CHECK_MSG(arm < arms_.size(), "arm index out of range");
-  return arms_[arm]->model.predict(x);
-}
-
 std::vector<double> FrozenModel::weight_row(ArmIndex arm) const {
-  BW_CHECK_MSG(arm < arms_.size(), "arm index out of range");
+  BW_CHECK_MSG(arm < num_arms_, "arm index out of range");
   std::vector<double> row(num_features_ + 1);
   for (std::size_t i = 0; i <= num_features_; ++i) {
-    row[i] = weight_plane_[i * arms_.size() + arm];
+    row[i] = weight_plane_[i * num_arms_ + arm];
   }
   return row;
-}
-
-const std::shared_ptr<const FrozenArm>& FrozenModel::arm_node(ArmIndex arm) const {
-  BW_CHECK_MSG(arm < arms_.size(), "arm index out of range");
-  return arms_[arm];
 }
 
 }  // namespace bw::core

@@ -1,13 +1,13 @@
 #pragma once
 // DecisionScratch — the per-thread buffer set behind every arm-scoring
-// pass (FrozenModel and live ArmBank, scalar fallback and vectorized
-// kernel alike). The serving hot paths run concurrently on many reader
-// threads, so the reusable buffers must be per-thread. They only ever
-// grow: a thread that alternates shapes (one-context reads between greedy
-// batches, or a multi-shard batch whose per-shard groups differ in size)
-// must not re-zero-fill a tail on every switch, so after the largest shape
-// it serves, ensure() never touches memory again. Callers index the
-// buffers by their own shape and never read size().
+// pass (FrozenModel and live ArmBank, the per-arm column walk and the
+// score_block kernel alike). The serving hot paths run concurrently on
+// many reader threads, so the reusable buffers must be per-thread. They
+// only ever grow: a thread that alternates shapes (one-context reads
+// between greedy batches, or a multi-shard batch whose per-shard groups
+// differ in size) must not re-zero-fill a tail on every switch, so after
+// the largest shape it serves, ensure() never touches memory again.
+// Callers index the buffers by their own shape and never read size().
 
 #include <cstddef>
 #include <vector>

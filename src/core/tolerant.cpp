@@ -38,7 +38,9 @@ TolerantChoice tolerant_select(std::span<const double> predictions,
   for (ArmIndex arm = 0; arm < predictions.size(); ++arm) {
     if (predictions[arm] > limit) continue;
     ++choice.candidates;
-    // Most resource-efficient within the limit; ties keep the lower index.
+    // Most resource-efficient within the limit. Strict <: the fastest arm
+    // keeps cost ties with every other candidate, and among strictly
+    // cheaper arms of equal cost the lowest index wins.
     if (resource_costs[arm] < best_cost) {
       best_cost = resource_costs[arm];
       choice.arm = arm;

@@ -303,8 +303,8 @@ core::BanditWare load_bandit_binary(std::istream& is, LoadInfo* info) {
           }
           payload.get_f64_array(theta.data(), dim_aug);
           payload.get_f64_array(p.data().data(), dim_aug * dim_aug);
-          StateAccess::banked(*bandit).arm_model(arm).restore_stats(
-              p, theta, static_cast<std::size_t>(n));
+          StateAccess::banked(*bandit).bank().restore_arm(arm, p, theta,
+                                                          static_cast<std::size_t>(n));
         }
         payload.expect_done("arm");
         arm_seen[arm] = true;

@@ -264,8 +264,8 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
     if (state.exact) {
       replay_rows(restored, arm, state.rows);
     } else {
-      StateAccess::banked(restored).arm_model(arm).restore_stats(state.p, state.theta,
-                                                                 state.n);
+      StateAccess::banked(restored).bank().restore_arm(arm, state.p, state.theta,
+                                                       state.n);
     }
   }
   if (auto* eps = StateAccess::eps_greedy(restored)) eps->set_epsilon(header.epsilon);

@@ -23,17 +23,6 @@ namespace bw::linalg {
 BW_KERNEL_CLONES
 void gemm_rm(const double* a, std::size_t m, std::size_t k, const double* b,
              std::size_t n, double* c) {
-  if (n == 1) {
-    // Matrix-vector fast path: per-row dot — no zero pass, no row
-    // re-streaming. Identical value sequence (k ascending from 0.0).
-    for (std::size_t i = 0; i < m; ++i) {
-      const double* arow = a + i * k;
-      double acc = 0.0;
-      for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * b[kk];
-      c[i] = acc;
-    }
-    return;
-  }
   // Row-axpy accumulation: C's row i starts at 0.0 and absorbs B's rows in
   // ascending kk order, so each C(i, j) sees exactly the linalg::dot value
   // sequence (the byte-identity contract in gemm.hpp). All inner loops run

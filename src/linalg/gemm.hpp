@@ -22,7 +22,10 @@ namespace bw::linalg {
 
 /// C = A * B, all row-major: A is m x k, B is k x n, C is m x n.
 /// C(i, j) = sum over kk ascending of A(i, kk) * B(kk, j) — bitwise equal
-/// to dot(A.row(i), B.col(j)). Buffers must not alias.
+/// to dot(A.row(i), B.col(j)). Buffers must not alias. One row-axpy loop
+/// serves every shape: through score_block, m counts contexts and n
+/// counts arms, so a one-context decision is m = 1 and n = 1 only for a
+/// one-arm catalog.
 void gemm_rm(const double* a, std::size_t m, std::size_t k, const double* b,
              std::size_t n, double* c);
 

@@ -1,6 +1,5 @@
 #include "serve/bandit_server.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <exception>
 #include <future>
@@ -310,12 +309,6 @@ void BanditServer::republish_locked(Shard& shard) {
   publish_locked(shard, shard.bandit.freeze(next));
 }
 
-void BanditServer::republish_locked(Shard& shard,
-                                    std::span<const core::ArmIndex> dirty) {
-  const std::uint64_t next = shard.epoch.load(std::memory_order_relaxed) + 1;
-  publish_locked(shard, shard.bandit.refreeze(*shard.slot, dirty, next));
-}
-
 ServeDecision BanditServer::recommend_greedy(const core::FeatureVector& x) {
   const std::size_t index = route(x);
   // The lock-free read path: this thread's cached snapshot, revalidated
@@ -451,8 +444,7 @@ void BanditServer::observe_one(const ServeObservation& obs) {
   Shard& shard = *shards_[obs.shard];
   std::unique_lock lock(shard.mutex);
   shard.bandit.observe(obs.arm, obs.x, obs.runtime_s);
-  const core::ArmIndex dirty[] = {obs.arm};
-  republish_locked(shard, dirty);
+  republish_locked(shard);
 }
 
 void BanditServer::observe_batch(const std::vector<ServeObservation>& observations) {
@@ -470,18 +462,12 @@ void BanditServer::observe_batch(const std::vector<ServeObservation>& observatio
     futures.push_back(pool_->submit([this, s, &by_shard, &observations] {
       Shard& shard = *shards_[s];
       std::unique_lock lock(shard.mutex);
-      std::vector<core::ArmIndex> dirty;
-      dirty.reserve(by_shard[s].size());
       for (std::size_t i : by_shard[s]) {
         const ServeObservation& obs = observations[i];
         shard.bandit.observe(obs.arm, obs.x, obs.runtime_s);
-        dirty.push_back(obs.arm);
       }
-      // Coalesce: one rebuild + swap per shard per batch, refreezing only
-      // the arms this batch touched.
-      std::sort(dirty.begin(), dirty.end());
-      dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-      republish_locked(shard, dirty);
+      // Coalesce: one freeze + swap per shard per batch.
+      republish_locked(shard);
     }));
   }
   wait_all(futures);

@@ -57,12 +57,13 @@
 // serializing on refcount or lock cacheline traffic. Only a read that
 // finds the epoch moved takes the shard's small slot mutex to copy the new
 // snapshot. Every writer funnels through one build-and-swap idiom under
-// the exclusive shard lock: observes refreeze only the arms they touched
-// (structural sharing — O(dirty * d + arms) per publish), batch observes
-// coalesce into one refreeze per shard per batch, and the sync paths
-// (inline sync_shards and the async fuser's publish window) re-freeze the
-// whole shard after swapping in the fused model; the swap stores the new
-// snapshot under the slot mutex and then release-stores its epoch.
+// the exclusive shard lock: after the write it freezes the shard — one
+// copy of the model's (d+1) x arms coefficient plane, the cost table
+// shared by pointer — and batch observes coalesce into one freeze per
+// shard per batch. The sync paths (inline sync_shards and the async
+// fuser's publish window) do the same after swapping in the fused model.
+// The swap stores the new snapshot under the slot mutex and then
+// release-stores its epoch; a retired snapshot is one free.
 // Readers therefore see either the old or the new snapshot, never a
 // half-published one, and each thread's snapshot sequence per shard is
 // monotone in epoch. The shared lock still guards everything that is not
@@ -88,7 +89,6 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -419,12 +419,11 @@ class BanditServer {
   /// last read it. The reference stays valid until this thread's next
   /// snapshot() call on another server or on this shard.
   const std::shared_ptr<const core::FrozenModel>& snapshot(std::size_t index) const;
-  /// Build-and-swap: the one write-side publication idiom. Both run with
-  /// the shard mutex held exclusive; `dirty` lists the arms the write
-  /// touched (refreeze shares every other node with the previous snapshot),
-  /// the no-argument form re-freezes the whole model (sync swaps).
+  /// Build-and-swap: the one write-side publication idiom, run with the
+  /// shard mutex held exclusive after any write. It freezes the shard's
+  /// model (one copy of its coefficient plane) under the next epoch and
+  /// swaps it into the slot.
   void republish_locked(Shard& shard);
-  void republish_locked(Shard& shard, std::span<const core::ArmIndex> dirty);
   static void publish_locked(Shard& shard,
                              std::shared_ptr<const core::FrozenModel> model);
   void validate_observation(const ServeObservation& obs) const;

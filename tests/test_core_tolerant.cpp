@@ -92,6 +92,30 @@ TEST(TolerantSelect, CostTiesKeepLowestIndex) {
   EXPECT_EQ(choice.arm, 0u);
 }
 
+TEST(TolerantSelect, FastestArmKeepsCostTiesAtAHigherIndex) {
+  // Equal costs everywhere: the fastest arm (index 1) keeps the tie, so
+  // the rule is not "lowest index wins".
+  ToleranceParams tolerance;
+  tolerance.seconds = 100.0;
+  const TolerantChoice choice =
+      tolerant_select({3.0, 1.0, 2.0}, {5.0, 5.0, 5.0}, tolerance);
+  EXPECT_EQ(choice.arm, 1u);
+  EXPECT_FALSE(choice.efficiency_tie_break);
+  EXPECT_EQ(choice.candidates, 3u);
+}
+
+TEST(TolerantSelect, StrictlyCheaperTiesKeepLowerIndex) {
+  // The fastest arm (index 2) costs 9; arms 1 and 3 are strictly cheaper
+  // and tie at 4, so the lower index of the two wins.
+  ToleranceParams tolerance;
+  tolerance.seconds = 100.0;
+  const TolerantChoice choice =
+      tolerant_select({2.0, 3.0, 1.0, 4.0}, {7.0, 4.0, 9.0, 4.0}, tolerance);
+  EXPECT_EQ(choice.arm, 1u);
+  EXPECT_TRUE(choice.efficiency_tie_break);
+  EXPECT_EQ(choice.predicted_runtime, 3.0);
+}
+
 TEST(TolerantSelect, SingleArm) {
   const TolerantChoice choice = tolerant_select({42.0}, {1.0}, {});
   EXPECT_EQ(choice.arm, 0u);

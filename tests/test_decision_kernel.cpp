@@ -7,17 +7,18 @@
 // contract end to end:
 //
 //   * kernel — gemm_rm / score_block against a naive k-ascending loop;
-//   * frozen — recommend_choice and recommend_greedy_batch against
-//     recommend_choice_scalar across policies x dims x arm counts,
-//     including the negative-R̂ tolerant edge;
+//   * frozen — recommend_choice, recommend_choice_scalar and
+//     recommend_greedy_batch against an independent oracle (tolerant_select
+//     over each live arm's own LinearModel::predict) across policies x dims
+//     x arm counts, including the negative-R̂ tolerant edge;
 //   * bank — predict_all / variance_proxy_all against the per-arm calls,
 //     LinUCB's select against the lcb() argmin, Thompson's select against
 //     a cloned-seed per-arm reference stream;
-//   * lifecycle — refreeze-after-dirty-write (delta plane vs full rebuild,
-//     node sharing by pointer identity), the dirty-plane scalar fallback
-//     after a direct arm mutation, the empty-catalog ctor guard (the
-//     former ArmBank::dim() UB), and grow-only scratch buffers across
-//     shape switches.
+//   * lifecycle — a freeze after an observe changes only the observed
+//     arms' columns, the plane stays valid after every write that bypasses
+//     observe (merge, widening, from_stats, text and binary restore,
+//     reset), the empty-catalog ctor guard (the former ArmBank::dim() UB),
+//     and grow-only scratch buffers across shape switches.
 //
 // The ASan and TSan CI jobs both run this file.
 
@@ -27,7 +28,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -41,6 +45,7 @@
 #include "core/thompson.hpp"
 #include "core/tolerant.hpp"
 #include "hardware/catalog.hpp"
+#include "io/state_io.hpp"
 #include "linalg/gemm.hpp"
 #include "serve/bandit_server.hpp"
 
@@ -60,9 +65,11 @@ void expect_choice_identical(const TolerantChoice& a, const TolerantChoice& b) {
   EXPECT_EQ(a.efficiency_tie_break, b.efficiency_tie_break);
 }
 
-hw::HardwareCatalog synth_catalog(std::size_t arms) {
+/// Arms S<first> .. S<first + arms - 1>; arm Si has the same spec in every
+/// catalog, so catalogs with overlapping ranges merge.
+hw::HardwareCatalog synth_catalog(std::size_t arms, std::size_t first = 0) {
   hw::HardwareCatalog catalog;
-  for (std::size_t i = 0; i < arms; ++i) {
+  for (std::size_t i = first; i < first + arms; ++i) {
     catalog.add({"S" + std::to_string(i), static_cast<int>(1 + i % 64),
                  8.0 * static_cast<double>(1 + i % 32)});
   }
@@ -97,8 +104,9 @@ void naive_gemm(const double* a, std::size_t m, std::size_t k, const double* b,
 }
 
 TEST(DecisionKernel, GemmRmMatchesNaiveLoopBitwise) {
-  // Shapes straddle every internal boundary: the n == 1 fast path, the kk
-  // unroll remainder (k % 4), and n not a multiple of any vector width.
+  // Shapes straddle every internal boundary: single-column outputs
+  // (n == 1, what a one-arm catalog scores), the kk unroll remainder
+  // (k % 4), and n not a multiple of any vector width.
   const struct {
     std::size_t m, k, n;
   } shapes[] = {{1, 9, 1},  {5, 34, 16}, {3, 7, 17},  {2, 9, 33},
@@ -143,7 +151,7 @@ TEST(DecisionKernel, ScoreBlockMatchesPerArmDotBitwise) {
   }
 }
 
-// ---- frozen plane vs scalar node walk ----------------------------------------
+// ---- frozen plane vs the live arms ------------------------------------------
 
 BanditWareConfig config_for(PolicyKind kind) {
   BanditWareConfig config;
@@ -172,6 +180,19 @@ BanditWare trained_instance(PolicyKind kind, std::size_t d, std::size_t arms,
   return bandit;
 }
 
+/// The independent oracle: tolerant_select over each live arm's own
+/// LinearModel::predict, with the catalog's costs — no plane involved.
+TolerantChoice oracle_choice(const BanditWare& bandit, const FeatureVector& x) {
+  std::vector<double> predictions(bandit.num_arms());
+  for (ArmIndex arm = 0; arm < bandit.num_arms(); ++arm) {
+    predictions[arm] = bandit.arm_model(arm).predict(x);
+  }
+  const EpsilonGreedyConfig& policy = bandit.config().policy;
+  return tolerant_select(predictions,
+                         bandit.catalog().resource_costs(policy.resource_weights),
+                         policy.tolerance);
+}
+
 TEST(DecisionKernel, FrozenVectorizedMatchesScalarAcrossGrid) {
   for (const PolicyKind kind :
        {PolicyKind::kEpsilonGreedy, PolicyKind::kLinUcb, PolicyKind::kThompson}) {
@@ -183,9 +204,9 @@ TEST(DecisionKernel, FrozenVectorizedMatchesScalarAcrossGrid) {
         std::vector<FeatureVector> xs;
         for (int q = 0; q < 8; ++q) xs.push_back(random_features(rng, d));
         for (const auto& x : xs) {
-          const TolerantChoice vec = frozen->recommend_choice(x);
-          const TolerantChoice ref = frozen->recommend_choice_scalar(x);
-          expect_choice_identical(vec, ref);
+          const TolerantChoice ref = oracle_choice(bandit, x);
+          expect_choice_identical(frozen->recommend_choice(x), ref);
+          expect_choice_identical(frozen->recommend_choice_scalar(x), ref);
         }
         // The batched panel path must agree with the one-context path.
         const auto batch = frozen->recommend_greedy_batch(xs);
@@ -216,52 +237,58 @@ TEST(DecisionKernel, NegativePredictionsStayIdentical) {
   }
   const auto frozen = bandit.freeze(1);
   const FeatureVector far{25.0};
-  const TolerantChoice ref = frozen->recommend_choice_scalar(far);
+  const TolerantChoice ref = oracle_choice(bandit, far);
   ASSERT_LT(ref.predicted_runtime, 0.0) << "edge case not reached";
   expect_choice_identical(frozen->recommend_choice(far), ref);
+  expect_choice_identical(frozen->recommend_choice_scalar(far), ref);
   expect_choice_identical(frozen->recommend_greedy_batch(
                               std::vector<FeatureVector>{far})[0],
                           ref);
 }
 
-TEST(DecisionKernel, RefreezeAfterDirtyWriteMatchesFullFreeze) {
+/// Bitwise equality of one frozen column with the arm's live model.
+void expect_row_matches_model(const std::vector<double>& row,
+                              const linalg::LinearModel& model, const std::string& what) {
+  ASSERT_EQ(row.size(), model.weights.size() + 1) << what;
+  for (std::size_t i = 0; i < model.weights.size(); ++i) {
+    EXPECT_EQ(bits(row[i]), bits(model.weights[i])) << what << " i=" << i;
+  }
+  EXPECT_EQ(bits(row.back()), bits(model.bias)) << what;
+}
+
+TEST(DecisionKernel, FreezeAfterObserveChangesOnlyTheObservedColumns) {
   BanditWare bandit = trained_instance(PolicyKind::kEpsilonGreedy, 4, 64);
   const auto prev = bandit.freeze(1);
-  // Dirty a scattered subset, including arm 0 and the last arm.
-  const std::vector<ArmIndex> dirty = {0, 17, 40, 63};
+  // Observe a scattered subset, including arm 0 and the last arm.
+  const std::vector<ArmIndex> observed = {0, 17, 40, 63};
   bw::Rng rng(5);
-  for (const ArmIndex arm : dirty) {
+  for (const ArmIndex arm : observed) {
     const auto x = random_features(rng, 4);
     bandit.observe(arm, x, 7.0 + static_cast<double>(arm));
   }
-  const auto delta = bandit.refreeze(*prev, dirty, 2);
-  const auto full = bandit.freeze(2);
-  // Structural sharing: untouched nodes are the same allocation.
+  const auto next = bandit.freeze(2);
+  EXPECT_EQ(next->epoch(), prev->epoch() + 1);
+  // Snapshots share the bank's cost table rather than copying it.
+  EXPECT_EQ(next->shared_resource_costs(), prev->shared_resource_costs());
   for (ArmIndex arm = 0; arm < 64; ++arm) {
-    const bool is_dirty =
-        std::find(dirty.begin(), dirty.end(), arm) != dirty.end();
-    if (is_dirty) {
-      EXPECT_NE(delta->arm_node(arm).get(), prev->arm_node(arm).get());
-    } else {
-      EXPECT_EQ(delta->arm_node(arm).get(), prev->arm_node(arm).get());
+    const bool was_observed =
+        std::find(observed.begin(), observed.end(), arm) != observed.end();
+    const std::vector<double> before = prev->weight_row(arm);
+    const std::vector<double> after = next->weight_row(arm);
+    bool same = true;
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      same = same && bits(after[i]) == bits(before[i]);
     }
+    EXPECT_EQ(same, !was_observed) << "arm=" << arm;
+    expect_row_matches_model(after, bandit.arm_model(arm).model(),
+                             "arm=" + std::to_string(arm));
   }
-  // The delta-copied plane must decide exactly like a fully rebuilt one —
-  // and like the scalar node walk.
+  // Frozen equals live: the new snapshot decides like the oracle.
   for (int q = 0; q < 16; ++q) {
     const auto x = random_features(rng, 4);
-    const TolerantChoice from_delta = delta->recommend_choice(x);
-    expect_choice_identical(from_delta, full->recommend_choice(x));
-    expect_choice_identical(from_delta, delta->recommend_choice_scalar(x));
-  }
-  // And the gathered plane columns match the nodes they were copied from.
-  for (ArmIndex arm = 0; arm < 64; ++arm) {
-    const auto row = delta->weight_row(arm);
-    const auto& model = delta->arm_node(arm)->model;
-    for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(bits(row[i]), bits(model.weights[i]));
-    }
-    EXPECT_EQ(bits(row[4]), bits(model.bias));
+    const TolerantChoice ref = oracle_choice(bandit, x);
+    expect_choice_identical(next->recommend_choice(x), ref);
+    expect_choice_identical(next->recommend_choice_scalar(x), ref);
   }
 }
 
@@ -346,34 +373,123 @@ TEST(DecisionKernel, ThompsonSelectMatchesClonedSeedReference) {
   }
 }
 
-TEST(DecisionKernel, DirtyPlaneFallsBackToScalarUntilNextObserve) {
-  EpsilonGreedyConfig config;
-  DecayingEpsilonGreedy policy(synth_catalog(9), 2, config);
+// ---- the always-valid plane -------------------------------------------------
+
+/// After any write, the bank's predict_all (what BanditWare::predictions
+/// runs) and a fresh freeze()'s columns must equal every arm's own
+/// LinearModel bit for bit — there is no stale plane to fall back from.
+void expect_plane_matches_arms(const BanditWare& bandit, const std::string& what) {
+  const auto frozen = bandit.freeze(1);
+  ASSERT_EQ(frozen->num_arms(), bandit.num_arms()) << what;
+  const std::size_t d = bandit.feature_names().size();
+  bool trained = false;
+  bw::Rng rng(41);
+  for (int q = 0; q < 4; ++q) {
+    const FeatureVector x = random_features(rng, d);
+    const std::vector<double> all = bandit.predictions(x);
+    ASSERT_EQ(all.size(), bandit.num_arms()) << what;
+    for (ArmIndex arm = 0; arm < bandit.num_arms(); ++arm) {
+      const linalg::LinearModel& model = bandit.arm_model(arm).model();
+      EXPECT_EQ(bits(all[arm]), bits(model.predict(x))) << what << " arm=" << arm;
+      trained = trained || model.predict(x) != 0.0;
+    }
+  }
+  for (ArmIndex arm = 0; arm < bandit.num_arms(); ++arm) {
+    expect_row_matches_model(frozen->weight_row(arm), bandit.arm_model(arm).model(),
+                             what + " arm=" + std::to_string(arm));
+  }
+  // A zero plane would match an untrained bank; every case here is trained.
+  EXPECT_TRUE(trained) << what;
+}
+
+std::string read_fixture(const std::string& name) {
+  std::ifstream in(std::string(BW_TEST_DATA_DIR) + "/" + name, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing fixture: " << name;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(DecisionKernel, PlaneStaysValidAfterMergeAndWidening) {
+  for (const PolicyKind kind :
+       {PolicyKind::kEpsilonGreedy, PolicyKind::kLinUcb, PolicyKind::kThompson}) {
+    const std::string name = to_string(kind);
+    BanditWare a = trained_instance(kind, 3, 12);
+    const BanditWare b = trained_instance(kind, 3, 12, 2.0);
+    a.merge_from(b);
+    expect_plane_matches_arms(a, name + " merge");
+
+    // Replica sync: fold b's evidence beyond a shared ancestor.
+    const BanditWare base = trained_instance(kind, 3, 12);
+    BanditWare grown = base;
+    grown.observe(5, {1.0, 2.0, 3.0}, 9.0);
+    BanditWare self = base;
+    self.merge_from(grown, &base);
+    expect_plane_matches_arms(self, name + " merge with base");
+
+    // Widening: the other side knows S5 and S6, which this one lacks, so
+    // the merge rebuilds around the union catalog and copies the learned
+    // arms across. The other side lacks S0-S2, so those three columns come
+    // from the copy alone, with no merge after it.
+    BanditWare narrow = trained_instance(kind, 3, 5);
+    BanditWare other(synth_catalog(4, 3), std::vector<std::string>(3, "f"),
+                     config_for(kind));
+    bw::Rng rng(7);
+    for (ArmIndex arm = 0; arm < other.num_arms(); ++arm) {
+      const auto x = random_features(rng, 3);
+      other.observe(arm, x, synth_runtime(other.catalog()[arm], x));
+    }
+    narrow.merge_from(other);
+    ASSERT_EQ(narrow.num_arms(), 7u);
+    expect_plane_matches_arms(narrow, name + " widening merge");
+  }
+}
+
+TEST(DecisionKernel, PlaneStaysValidAfterFromStatsAndRestore) {
+  for (const PolicyKind kind :
+       {PolicyKind::kEpsilonGreedy, PolicyKind::kLinUcb, PolicyKind::kThompson}) {
+    const std::string name = to_string(kind);
+    const BanditWare source = trained_instance(kind, 3, 12);
+    const BanditWare rebuilt = BanditWare::from_stats(
+        source.catalog(), source.feature_names(), source.config(), source.export_stats());
+    expect_plane_matches_arms(rebuilt, name + " from_stats");
+    for (const io::Format format : {io::Format::kText, io::Format::kBinary}) {
+      std::ostringstream out(std::ios::binary);
+      io::save_state(out, source, format);
+      std::istringstream in(out.str(), std::ios::binary);
+      expect_plane_matches_arms(io::load_state(in), name + " " + io::to_string(format));
+    }
+  }
+  // Checked-in snapshots: stats bodies restore through the bank, legacy
+  // row bodies (text v1, text v2 obs, binary rows) replay through observe.
+  for (const char* fixture :
+       {"state_v1.bw", "state_v2_obs.bw", "state_v2_stats.bw", "state_v3_linucb.bw",
+        "state_v4_lambda.bw", "state_bin_v1.bwb", "state_bin_v1_lambda.bwb",
+        "state_bin_v1_linucb.bwb", "state_bin_v1_rows.bwb"}) {
+    expect_plane_matches_arms(BanditWare::load_state(read_fixture(fixture)), fixture);
+  }
+}
+
+TEST(DecisionKernel, PlaneStaysValidAfterReset) {
+  LinUcb policy(synth_catalog(9), 2, LinUcbConfig{});
   bw::Rng rng(31);
   for (int i = 0; i < 30; ++i) {
     const auto x = random_features(rng, 2);
     policy.observe(static_cast<ArmIndex>(i % 9), x, rng.uniform(1.0, 20.0));
   }
-  // Mutate an arm behind the bank's back — the merge/restore/widen channel.
-  // The theta plane is now stale; reads must fall back to the per-arm walk.
-  policy.arm_model(4).observe(std::vector<double>{3.0, 5.0}, 42.0);
+  policy.reset();
+  const ArmBank& bank = policy.bank();
+  for (const double v : bank.plane()) EXPECT_EQ(bits(v), bits(0.0));
+  // And the first observe after the reset lands in the plane.
+  const FeatureVector x0 = random_features(rng, 2);
+  policy.observe(4, x0, 11.0);
   for (int q = 0; q < 4; ++q) {
     const auto x = random_features(rng, 2);
-    const std::vector<double> all = policy.bank().predict_all(x);
+    const std::vector<double> all = bank.predict_all(x);
     for (ArmIndex arm = 0; arm < 9; ++arm) {
-      EXPECT_EQ(bits(all[arm]), bits(policy.bank().predict(arm, x)));
+      EXPECT_EQ(bits(all[arm]), bits(bank.arm(arm).predict(x))) << "arm=" << arm;
     }
   }
-  // The next observe() rebuilds the plane; reads stay identical after it.
-  const auto x0 = random_features(rng, 2);
-  policy.observe(2, x0, 11.0);
-  for (int q = 0; q < 4; ++q) {
-    const auto x = random_features(rng, 2);
-    const std::vector<double> all = policy.bank().predict_all(x);
-    for (ArmIndex arm = 0; arm < 9; ++arm) {
-      EXPECT_EQ(bits(all[arm]), bits(policy.bank().predict(arm, x)));
-    }
-  }
+  EXPECT_NE(bank.predict_all(x0)[4], 0.0);
 }
 
 // ---- construction guards -----------------------------------------------------

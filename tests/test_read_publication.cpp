@@ -9,8 +9,10 @@
 //   * freshness — every writer (observe_one, observe_batch, inline sync)
 //     republishes before releasing the shard lock, so the snapshot never
 //     lags the live model at a quiescent point;
-//   * structural sharing — refreeze reuses the untouched arms' nodes (pinned
-//     by pointer identity) and the shared resource-cost table;
+//   * publication shape — an observe republishes at epoch + 1, changes
+//     only the observed arm's plane column, and shares the resource-cost
+//     table by pointer; the FrozenModel constructor rejects a misshapen
+//     plane, cost table or dimension;
 //   * the thread cache — it never serves another server instance (even
 //     one built at the same address with epochs that coincide), holds a
 //     replaced snapshot only until the thread's next read of that shard or
@@ -183,30 +185,37 @@ TEST(ReadPublication, EveryWriterRepublishesBeforeReleasingTheLock) {
   }
 }
 
-TEST(ReadPublication, RefreezeSharesUntouchedArmNodes) {
-  // The structural-sharing contract, pinned by pointer identity: an observe
-  // batch touching one arm must republish a snapshot that allocates a new
-  // node for that arm only, sharing every other node and the resource-cost
-  // table with the previous snapshot.
+TEST(ReadPublication, ObserveRepublishesOnlyTheObservedColumn) {
+  // An observe on one arm republishes at the next epoch, sharing the
+  // resource-cost table by pointer; only that arm's plane column changes,
+  // and the new snapshot decides like the live model.
   const hw::HardwareCatalog catalog = hw::ndp_catalog();
-  BanditServer server(catalog, {"num_tasks"}, serving_config(1));
+  const BanditServerConfig config = serving_config(1);
+  BanditServer server(catalog, {"num_tasks"}, config);
   train(server, catalog, 30);
   const auto before = server.published_model(0);
 
   const auto x = features_for(77.0);
-  const core::ArmIndex dirty = 1;
-  server.observe_one({0, dirty, x, synthetic_runtime(catalog[dirty], 77.0)});
+  const core::ArmIndex observed = 1;
+  server.observe_one({0, observed, x, synthetic_runtime(catalog[observed], 77.0)});
   const auto after = server.published_model(0);
 
   ASSERT_NE(before, after);
   EXPECT_EQ(after->epoch(), before->epoch() + 1);
   EXPECT_EQ(after->shared_resource_costs(), before->shared_resource_costs());
   for (core::ArmIndex arm = 0; arm < before->num_arms(); ++arm) {
-    if (arm == dirty) {
-      EXPECT_NE(after->arm_node(arm), before->arm_node(arm));
+    if (arm == observed) {
+      EXPECT_NE(after->weight_row(arm), before->weight_row(arm));
     } else {
-      EXPECT_EQ(after->arm_node(arm), before->arm_node(arm)) << "arm=" << arm;
+      EXPECT_EQ(after->weight_row(arm), before->weight_row(arm)) << "arm=" << arm;
     }
+  }
+  for (double tasks = 20.0; tasks <= 500.0; tasks += 31.0) {
+    const auto probe = features_for(tasks);
+    const core::TolerantChoice frozen = after->recommend_choice(probe);
+    const core::TolerantChoice expected = live_choice(server, catalog, config, 0, probe);
+    EXPECT_EQ(frozen.arm, expected.arm) << "tasks=" << tasks;
+    EXPECT_EQ(frozen.predicted_runtime, expected.predicted_runtime) << "tasks=" << tasks;
   }
 }
 
@@ -226,15 +235,24 @@ TEST(ReadPublication, SnapshotIsImmutableAfterSwap) {
   EXPECT_GT(server.published_epoch(0), held->epoch());
 }
 
-TEST(ReadPublication, FreezeValidatesShape) {
-  const hw::HardwareCatalog catalog = hw::ndp_catalog();
-  core::BanditWare small(catalog, {"num_tasks"});
-  core::BanditWare wide(catalog, {"num_tasks", "gb"});
-  const auto snapshot = small.freeze(1);
-  const core::ArmIndex dirty[] = {0};
-  EXPECT_THROW((void)wide.refreeze(*snapshot, dirty, 2), bw::InvalidArgument);
-  const core::ArmIndex out_of_range[] = {static_cast<core::ArmIndex>(catalog.size())};
-  EXPECT_THROW((void)small.refreeze(*snapshot, out_of_range, 2), bw::InvalidArgument);
+TEST(ReadPublication, FrozenModelRejectsMisshapenInput) {
+  // d = 1 and 3 arms: a valid plane holds (1 + 1) x 3 doubles.
+  const auto costs = std::make_shared<const std::vector<double>>(
+      std::vector<double>{1.0, 2.0, 3.0});
+  const auto no_costs = std::make_shared<const std::vector<double>>();
+  const core::ToleranceParams tolerance;
+  EXPECT_NO_THROW(core::FrozenModel(std::vector<double>(6), costs, tolerance, 1, 1));
+  EXPECT_THROW(core::FrozenModel(std::vector<double>(5), costs, tolerance, 1, 1),
+               bw::InvalidArgument);
+  EXPECT_THROW(core::FrozenModel(std::vector<double>(9), costs, tolerance, 1, 1),
+               bw::InvalidArgument);
+  EXPECT_THROW(core::FrozenModel(std::vector<double>(6), nullptr, tolerance, 1, 1),
+               bw::InvalidArgument);
+  EXPECT_THROW(core::FrozenModel(std::vector<double>{}, no_costs, tolerance, 1, 1),
+               bw::InvalidArgument);
+  // (0 + 1) x 3 doubles would fit a d = 0 plane; d = 0 is still rejected.
+  EXPECT_THROW(core::FrozenModel(std::vector<double>(3), costs, tolerance, 0, 1),
+               bw::InvalidArgument);
 }
 
 TEST(ReadPublication, ThreadCacheNeverServesAServerRebuiltAtTheSameAddress) {
