@@ -1,5 +1,6 @@
 #include "fleet/fleet_node.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <utility>
@@ -40,10 +41,12 @@ FleetNode::FleetNode(serve::BanditServer server, core::BanditWareConfig bandit_c
       incarnation_(incarnation),
       server_(std::move(server)),
       bandit_config_(std::move(bandit_config)),
-      local_bank_(server_.catalog(), server_.feature_names(), bandit_config_) {
+      learner_(server_.feature_names().size(), bandit_config_.policy.fit),
+      dirty_(server_.catalog().size(), true) {
   wire_config_ = wire_config_of(server_, bandit_config_);
-  prior_arms_ = local_bank_.export_stats().arms;
+  prior_arms_.assign(server_.catalog().size(), learner_.export_stats());
   origins_.emplace(self_origin(), prior_arms_);
+  fused_.arms = prior_arms_;
 }
 
 std::vector<serve::ServeDecision> FleetNode::recommend_batch(
@@ -53,18 +56,19 @@ std::vector<serve::ServeDecision> FleetNode::recommend_batch(
 
 void FleetNode::observe_batch(
     const std::vector<serve::ServeObservation>& observations) {
-  // The engine validates the whole batch before applying any of it, so
-  // mirroring into the origin stream afterwards keeps the two in lockstep
-  // even on a rejected batch.
+  // The engine validates the whole batch (shape, routing, finiteness)
+  // before applying any of it, so mirroring into the origin stream
+  // afterwards keeps the two in lockstep even on a rejected batch.
   server_.observe_batch(observations);
+  if (observations.empty()) return;
+  std::vector<core::ArmStats>& slots = origins_.at(self_origin());
   for (const auto& obs : observations) {
-    local_bank_.observe(obs.arm, obs.x, obs.runtime_s);
+    core::ArmStats& slot = slots[obs.arm];
+    learner_.restore_stats(slot.p, slot.theta, slot.n);
+    learner_.observe(obs.x, obs.runtime_s);
+    slot = learner_.export_stats();
+    dirty_[obs.arm] = true;
   }
-  if (!observations.empty()) refresh_self_origin();
-}
-
-void FleetNode::refresh_self_origin() {
-  origins_[self_origin()] = local_bank_.export_stats().arms;
 }
 
 FleetDelta FleetNode::make_delta(std::uint32_t peer) const {
@@ -174,6 +178,7 @@ std::pair<std::size_t, std::size_t> FleetNode::fold_origin(
     // strict superset of the smaller — never add, never diff.
     if (entry.stats.n > slot.n) {
       slot = entry.stats;
+      dirty_[entry.arm] = true;
       ++applied;
     } else {
       ++stale;
@@ -182,44 +187,62 @@ std::pair<std::size_t, std::size_t> FleetNode::fold_origin(
   return {applied, stale};
 }
 
-core::BanditWare FleetNode::origin_model(
-    const std::vector<core::ArmStats>& arms) const {
+core::ArmStats FleetNode::fold_arm(std::size_t arm) const {
+  // No base: each origin slot carries the shared ridge prior once, and the
+  // merge keeps exactly one copy — the fold over origins in ascending key
+  // order is the canonical single-learner concatenation.
+  const linalg::FitOptions& fit = bandit_config_.policy.fit;
+  core::LinearArmModel fused(learner_.dim(), fit);
+  core::LinearArmModel origin(learner_.dim(), fit);
+  for (const auto& [key, arms] : origins_) {
+    const core::ArmStats& slot = arms[arm];
+    if (slot.n == 0) continue;
+    origin.restore_stats(slot.p, slot.theta, slot.n);
+    fused.merge(origin);
+  }
+  return fused.export_stats();
+}
+
+double FleetNode::fold_epsilon() const {
+  if (bandit_config_.policy_kind != core::PolicyKind::kEpsilonGreedy) return 0.0;
+  // ε decays once per observation, so an origin's exploration state is
+  // fully determined by its count — deriving it keeps the wire format free
+  // of redundant (and potentially contradictory) scalars. The chain is
+  // merge_from's: ε_fused · ε_origin / ε₀, clamped to [0, 1] at each step.
+  const double initial = bandit_config_.policy.initial_epsilon;
+  double epsilon = initial;
+  for (const auto& [key, arms] : origins_) {
+    std::size_t n = 0;
+    for (const auto& slot : arms) n += slot.n;
+    if (n == 0) continue;
+    const double origin = std::clamp(
+        initial * std::pow(bandit_config_.policy.decay, static_cast<double>(n)), 0.0,
+        1.0);
+    epsilon = std::clamp(initial > 0.0 ? epsilon * origin / initial : 0.0, 0.0, 1.0);
+  }
+  return epsilon;
+}
+
+core::BanditWare FleetNode::fused_model() const {
   core::BanditWareStats stats;
-  stats.arms = arms;
-  if (wire_config_.policy == core::PolicyKind::kEpsilonGreedy) {
-    // ε decays once per observation, so the origin's exploration state is
-    // fully determined by its count — deriving it keeps the wire format
-    // free of redundant (and potentially contradictory) scalars.
-    stats.epsilon = wire_config_.initial_epsilon *
-                    std::pow(wire_config_.decay,
-                             static_cast<double>(stats.num_observations()));
-  } else {
-    stats.epsilon = 0.0;
+  stats.epsilon = fold_epsilon();
+  stats.arms.reserve(server_.catalog().size());
+  for (std::size_t arm = 0; arm < server_.catalog().size(); ++arm) {
+    stats.arms.push_back(fold_arm(arm));
   }
   return core::BanditWare::from_stats(server_.catalog(), server_.feature_names(),
                                       bandit_config_, stats);
 }
 
-core::BanditWare FleetNode::fused_model() const {
-  core::BanditWare fused(server_.catalog(), server_.feature_names(), bandit_config_);
-  for (const auto& [origin, arms] : origins_) {
-    bool any = false;
-    for (const auto& slot : arms) {
-      if (slot.n > 0) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) continue;
-    // No base: each origin model carries the shared ridge prior once, and
-    // the merge keeps exactly one copy — the fold over origins in ascending
-    // key order is the canonical single-learner concatenation.
-    fused.merge_from(origin_model(arms), nullptr);
+void FleetNode::rebuild_from_origins() {
+  for (std::size_t arm = 0; arm < dirty_.size(); ++arm) {
+    if (dirty_[arm]) fused_.arms[arm] = fold_arm(arm);
   }
-  return fused;
+  fused_.epsilon = fold_epsilon();
+  server_.adopt_model(core::BanditWare::from_stats(
+      server_.catalog(), server_.feature_names(), bandit_config_, fused_));
+  std::fill(dirty_.begin(), dirty_.end(), false);
 }
-
-void FleetNode::rebuild_from_origins() { server_.adopt_model(fused_model()); }
 
 std::vector<io::FleetVvEntry> FleetNode::version_vector() const {
   std::vector<io::FleetVvEntry> vv;

@@ -14,17 +14,25 @@
 // duplicated freely and evidence is never lost or double-counted.
 //
 // Serving model: the node's engine (a wrapped serve::BanditServer) adopts
-// the *canonical fold* of the origin store — a fresh prior merged with
-// every origin's model in ascending (node, incarnation) order via the same
-// information-form algebra as cross-shard sync (core::BanditWare::
-// merge_from with no base, so exactly one ridge prior survives). Every
-// node folds in the same order, so once their origin stores agree their
-// serving models agree bit-for-bit with a single learner fed the origin
-// streams in that canonical order — including under a forgetting factor
-// λ < 1, where the fold order is the discount order. ε-greedy's scalar
-// decays once per observation, so an origin's exploration state is derived
-// as ε₀ · αⁿ and chains multiplicatively through the fold exactly like the
-// single learner's repeated decay.
+// the *canonical fold* of the origin store — per arm, a fresh prior merged
+// with every origin's statistics in ascending (node, incarnation) order via
+// the same information-form algebra as cross-shard sync
+// (core::LinearArmModel::merge with no base, so exactly one ridge prior
+// survives). Every node folds in the same order, so once their origin
+// stores agree their serving models agree bit-for-bit with a single
+// learner fed the origin streams in that canonical order — including under
+// a forgetting factor λ < 1, where the fold order is the discount order.
+// ε-greedy's scalar decays once per observation, so an origin's
+// exploration state is derived as ε₀ · αⁿ and chains multiplicatively
+// through the fold exactly like the single learner's repeated decay.
+//
+// Arms fuse independently, so the node keeps the fold as persistent
+// per-arm state plus a dirty-arm set. A rebuild refolds only the arms
+// whose origin slots advanced since the last one — through an apply, or
+// through a local observation on the self-origin slot — and reuses the
+// rest, which is bitwise identical to refolding every arm. Between
+// rebuilds the engine also trains on local feedback directly, so it serves
+// the fold plus that feedback until the next apply replaces it.
 //
 // Anti-entropy: each message also carries the sender's version vector
 // (per-origin per-arm counts). Receivers remember the freshest vector per
@@ -86,7 +94,8 @@ class FleetNode {
       const std::vector<core::FeatureVector>& xs);
 
   /// Absorbs local feedback: trains the serving engine and appends the
-  /// observations (in batch order) to this node's origin stream.
+  /// observations (in batch order) to this node's origin stream. A batch
+  /// the engine rejects reaches neither.
   void observe_batch(const std::vector<serve::ServeObservation>& observations);
 
   /// Builds the gossip message for `peer`: every (origin, arm) entry that
@@ -102,14 +111,18 @@ class FleetNode {
   /// rebuilds the serving model from the canonical fold.
   ApplyResult apply_delta(const FleetDelta& delta);
 
-  /// The canonical fold of the origin store (see file comment). This is
-  /// the node's fleet-wide model: deterministic in the store's contents,
-  /// identical across nodes whose stores agree.
+  /// The canonical fold of the origin store (see file comment), every arm
+  /// folded afresh. This is the node's fleet-wide model: deterministic in
+  /// the store's contents, identical across nodes whose stores agree, and
+  /// exactly what the engine serves after a rebuild.
   core::BanditWare fused_model() const;
 
-  /// Rebuilds the serving engine from the canonical fold. apply_delta runs
-  /// this automatically; exposed for harnesses that batch several applies
-  /// before paying the rebuild.
+  /// Refolds the dirty arms, then makes the engine adopt the canonical
+  /// fold (a copy per shard plus one freeze each). apply_delta runs this
+  /// automatically; exposed for harnesses that batch several applies
+  /// before paying the rebuild. The dirty marks clear only once the
+  /// engine has adopted the result, so a rebuild that throws leaves them
+  /// for the next one.
   void rebuild_from_origins();
 
   /// Per-origin per-arm counts of everything this node holds.
@@ -136,18 +149,20 @@ class FleetNode {
   FleetNode(serve::BanditServer server, core::BanditWareConfig bandit_config,
             std::uint32_t node_id, std::uint32_t incarnation);
 
-  /// Folds `stats` (cumulative, full-width) into the store under
-  /// replace-if-larger-n. Returns [applied, stale] entry counts.
+  /// Folds `entries` (cumulative statistics) into the store under
+  /// replace-if-larger-n and marks each arm whose slot advanced. Returns
+  /// [applied, stale] entry counts.
   std::pair<std::size_t, std::size_t> fold_origin(
       const FleetOriginKey& origin, const std::vector<io::FleetArmEntry>& entries);
 
-  /// Re-exports the local bank into the self-origin slot.
-  void refresh_self_origin();
+  /// One arm of the canonical fold: a fresh prior arm merged with every
+  /// origin's slot for `arm` in ascending key order. Slots with n == 0
+  /// are skipped — merging a bare prior is an exact no-op.
+  core::ArmStats fold_arm(std::size_t arm) const;
 
-  /// Builds the per-origin model the canonical fold merges: full-width
-  /// stats (prior where the origin has no evidence) plus the derived
-  /// exploration scalar.
-  core::BanditWare origin_model(const std::vector<core::ArmStats>& arms) const;
+  /// The canonical fold's ε-greedy scalar (0 for the other policies): the
+  /// chain merge_from applies, over every origin holding evidence.
+  double fold_epsilon() const;
 
   std::uint32_t node_id_ = 0;
   std::uint32_t incarnation_ = 1;
@@ -159,16 +174,21 @@ class FleetNode {
   /// it because the fusion algebra depends on it.
   core::BanditWareConfig bandit_config_;
   io::FleetWireConfig wire_config_;
-  /// This node's own stream under the current incarnation: a single
-  /// learner fed exactly the observations passed to observe_batch, whose
-  /// export is the self-origin's cumulative statistics.
-  core::BanditWare local_bank_;
+  /// Scratch arm for local feedback: each observation restores the
+  /// self-origin slot into it, observes, and exports back — the same
+  /// statistics a dedicated single learner would hold, bit for bit.
+  core::LinearArmModel learner_;
   /// Prior-state template: origin slots start as copies so absent arms
   /// carry exactly the shared ridge prior.
   std::vector<core::ArmStats> prior_arms_;
   /// Origin store: per origin, full-width cumulative per-arm statistics
   /// (slots with n == 0 are the untouched prior, never serialized).
   std::map<FleetOriginKey, std::vector<core::ArmStats>> origins_;
+  /// The canonical fold as of the last rebuild: fold_arm(arm) for every
+  /// arm not marked in dirty_, plus the ε the engine adopted.
+  core::BanditWareStats fused_;
+  /// Arms whose origin slots changed since the last completed rebuild.
+  std::vector<bool> dirty_;
   /// Freshest version vector received from one peer, tagged with the
   /// incarnation that sent it. The tag is what makes floors crash-safe: a
   /// restart loses the peer's in-memory store, so every claim learned from

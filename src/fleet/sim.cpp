@@ -128,10 +128,20 @@ void FleetSim::exchange(std::size_t src, std::size_t dst) {
   const std::string bytes = io::save_fleet_delta(
       nodes_[src]->make_delta(nodes_[dst]->node_id()));
   ++stats_.sent;
+  apply(dst, bytes);
+}
+
+void FleetSim::apply(std::size_t dst, const std::string& bytes) {
   const ApplyResult result = nodes_[dst]->apply_delta(io::load_fleet_delta(bytes));
   ++stats_.delivered;
   stats_.entries_applied += result.applied;
   stats_.entries_stale += result.stale;
+  if (apply_probe_) apply_probe_(dst, result);
+}
+
+void FleetSim::set_apply_probe(
+    std::function<void(std::size_t, const ApplyResult&)> probe) {
+  apply_probe_ = std::move(probe);
 }
 
 void FleetSim::enqueue(std::size_t src, std::size_t dst, const std::string& bytes) {
@@ -153,11 +163,7 @@ void FleetSim::deliver_due() {
       ++stats_.crash_dropped;
       continue;
     }
-    const ApplyResult result =
-        nodes_[message.dst]->apply_delta(io::load_fleet_delta(message.bytes));
-    ++stats_.delivered;
-    stats_.entries_applied += result.applied;
-    stats_.entries_stale += result.stale;
+    apply(message.dst, message.bytes);
   }
 }
 

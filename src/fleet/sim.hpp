@@ -27,6 +27,7 @@
 // float-roundtrip precision, for every policy and every λ.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -108,6 +109,11 @@ class FleetSim {
   void partition(const std::vector<std::vector<std::size_t>>& groups);
   void heal();
 
+  /// Calls `probe(node index, result)` after every apply_delta the
+  /// simulator performs (network delivery and exchange), so a test can
+  /// check per-apply invariants. An empty function removes the probe.
+  void set_apply_probe(std::function<void(std::size_t, const ApplyResult&)> probe);
+
   /// Delivers everything in flight (advancing the clock past the last
   /// deliver tick). Partitions still apply; crashed nodes still drop.
   void deliver_all();
@@ -137,6 +143,8 @@ class FleetSim {
   };
 
   void deliver_due();
+  /// Applies serialized delta `bytes` at node `dst` and accounts for it.
+  void apply(std::size_t dst, const std::string& bytes);
   void enqueue(std::size_t src, std::size_t dst, const std::string& bytes);
   bool partitioned(std::size_t a, std::size_t b) const;
   std::size_t pick_alive(Rng& rng, std::size_t excluding) const;
@@ -158,6 +166,7 @@ class FleetSim {
   /// Ground truth: every observation ever fed, per origin, in stream order.
   std::map<FleetOriginKey, std::vector<LoggedObs>> logs_;
   FleetSimStats stats_;
+  std::function<void(std::size_t, const ApplyResult&)> apply_probe_;
 };
 
 }  // namespace bw::fleet

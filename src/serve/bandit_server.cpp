@@ -1,5 +1,6 @@
 #include "serve/bandit_server.hpp"
 
+#include <cmath>
 #include <cstring>
 #include <exception>
 #include <future>
@@ -10,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "io/state_io.hpp"
+#include "linalg/matrix.hpp"
 
 namespace bw::serve {
 
@@ -428,6 +430,11 @@ void BanditServer::validate_observation(const ServeObservation& obs) const {
                "observation names unknown arm " + std::to_string(obs.arm));
   BW_CHECK_MSG(obs.x.size() == feature_names_.size(),
                "observation feature size mismatch");
+  // The arm model rejects these too, but only inside the shard task, after
+  // the batch's earlier observations were applied and with the shard left
+  // unpublished: reject them here so a batch stays all-or-nothing.
+  BW_CHECK_MSG(linalg::all_finite(obs.x), "observation has a non-finite feature");
+  BW_CHECK_MSG(std::isfinite(obs.runtime_s), "observation has a non-finite runtime");
   // Feature-hash routing is recomputable, so a mis-echoed shard id is
   // detectable: the feedback must land on the replica that served it.
   // Round-robin ids cannot be recomputed; the range check above is all the

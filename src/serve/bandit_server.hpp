@@ -236,8 +236,9 @@ class BanditServer {
   std::uint64_t published_epoch(std::size_t shard) const;
 
   /// Feeds one observed runtime back into its shard. The observation is
-  /// validated first: shard in range, arm known, feature size matching, and
-  /// (under kFeatureHash) shard consistent with the routing of `x`.
+  /// validated first: shard in range, arm known, feature size matching,
+  /// every feature and the runtime finite, and (under kFeatureHash) shard
+  /// consistent with the routing of `x`.
   /// Throws InvalidArgument on a stale or malformed observation.
   void observe_one(const ServeObservation& obs);
 

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -86,6 +88,44 @@ void expect_models_agree(const BanditWare& got, const BanditWare& want, double t
     }
   }
   EXPECT_NEAR(got.epsilon(), want.epsilon(), tol);
+}
+
+/// What an engine serves after adopting `node`'s canonical fold: a fresh
+/// engine with the node's own engine config adopts fused_model() and is
+/// serialized. A node's engine must produce exactly these bytes after every
+/// rebuild.
+std::string adopted_fold_text(const FleetNode& node) {
+  const serve::BanditServer& engine = node.server();
+  serve::BanditServer twin(engine.catalog(), engine.feature_names(), engine.config());
+  twin.adopt_model(node.fused_model());
+  return twin.save_state();
+}
+
+/// The canonical fold written the way the node first computed it: a fresh
+/// model that merge_from()s one whole model per origin — full-width stats
+/// from the node's durable snapshot (prior where the origin has no
+/// evidence), ε = ε₀·decayⁿ — in ascending key order.
+BanditWare whole_model_fold(const FleetNode& node, const core::BanditWareConfig& bandit) {
+  const io::FleetNodeState state = io::load_fleet_node(node.save_snapshot());
+  std::map<fleet::FleetOriginKey, const io::FleetOriginBlock*> ordered;
+  for (const auto& block : state.origins) ordered.emplace(block.origin, &block);
+  const hw::HardwareCatalog& catalog = node.server().catalog();
+  const std::vector<std::string>& names = node.server().feature_names();
+  BanditWare fused(catalog, names, bandit);
+  const std::vector<core::ArmStats> prior = fused.export_stats().arms;
+  for (const auto& [origin, block] : ordered) {
+    core::BanditWareStats stats;
+    stats.arms = prior;
+    for (const auto& entry : block->arms) stats.arms[entry.arm] = entry.stats;
+    stats.epsilon =
+        bandit.policy_kind == PolicyKind::kEpsilonGreedy
+            ? bandit.policy.initial_epsilon *
+                  std::pow(bandit.policy.decay,
+                           static_cast<double>(stats.num_observations()))
+            : 0.0;
+    fused.merge_from(BanditWare::from_stats(catalog, names, bandit, stats));
+  }
+  return fused;
 }
 
 struct PolicyLambdaCase {
@@ -198,6 +238,50 @@ TEST(FleetSync, EvidenceGossipedBeforeCrashOutlivesTheSnapshot) {
   sim.quiesce();
   ASSERT_EQ(sim.node(1).total_observations(), fed);
   expect_models_agree(sim.node(1).fused_model(), sim.reference_model(), 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// The served engine is the canonical fold, bit for bit. Rebuilds refold
+// only the arms whose origin slots changed, so a missed change would leave
+// the engine serving a stale arm while fused_model() — which refolds every
+// arm — still looked right.
+
+TEST(FleetSync, EngineServesTheCanonicalFoldAfterEveryRebuild) {
+  std::size_t checks = 0;
+  std::size_t engine_mismatches = 0;
+  std::size_t fold_mismatches = 0;
+  for (const auto& test_case : kAllCases) {
+    SCOPED_TRACE(core::to_string(test_case.policy) + " lambda " +
+                 std::to_string(test_case.lambda));
+    FleetSimConfig config = sim_config(test_case.policy, test_case.lambda, 3, 83);
+    config.max_delay = 10;
+    config.drop_probability = 0.2;
+    config.duplicate_probability = 0.2;
+    config.snapshot_every = 2;
+    FleetSim sim(hw::ndp_catalog(), feature_names(), config);
+    auto check = [&](std::size_t i) {
+      const FleetNode& node = sim.node(i);
+      engine_mismatches += node.server().save_state() != adopted_fold_text(node);
+      fold_mismatches += model_text(node.fused_model()) !=
+                         model_text(whole_model_fold(node, config.server.bandit));
+      ++checks;
+    };
+    sim.set_apply_probe([&](std::size_t i, const fleet::ApplyResult& result) {
+      if (result.changed) check(i);
+    });
+    sim.run(120);
+    sim.crash(1);
+    sim.run(60);
+    sim.restart(1);
+    check(1);
+    sim.run(120);
+    sim.quiesce();
+    EXPECT_GT(sim.stats().dropped, 0u);
+    EXPECT_GT(sim.stats().duplicated, 0u);
+  }
+  EXPECT_GT(checks, 300u);
+  EXPECT_EQ(engine_mismatches, 0u) << "of " << checks << " checks";
+  EXPECT_EQ(fold_mismatches, 0u) << "of " << checks << " checks";
 }
 
 // ---------------------------------------------------------------------------
@@ -352,6 +436,50 @@ TEST(FleetWireProtocol, VersionVectorsStopResends) {
   // …until new evidence arrives.
   feed(a, 1, 23);
   EXPECT_FALSE(a.make_delta(2).origins.empty());
+}
+
+TEST(FleetWireProtocol, RebuildRefoldsTheArmsLocalFeedbackAndGossipAdvanced) {
+  FleetNode a = make_node(1, PolicyKind::kLinUcb, 0.98);
+  FleetNode b = make_node(2, PolicyKind::kLinUcb, 0.98);
+  auto observe_arm = [](FleetNode& node, core::ArmIndex arm, double seed) {
+    std::vector<serve::ServeObservation> observations;
+    for (int i = 0; i < 4; ++i) {
+      const core::FeatureVector x = {seed + i, 2.0 * seed - i};
+      observations.push_back({0, arm, x, 3.0 + seed + 0.5 * i});
+    }
+    node.observe_batch(observations);
+  };
+  // A's first rebuild refolds every arm (construction marks them all), so
+  // it is the second rebuild that must pick up exactly the changed arms:
+  // arm 0 from A's own feedback, arm 1 from B's gossip.
+  observe_arm(b, 1, 4.0);
+  ASSERT_TRUE(a.apply_delta(b.make_delta(1)).changed);
+  observe_arm(a, 0, 6.0);
+  observe_arm(b, 1, 8.0);
+  ASSERT_TRUE(a.apply_delta(b.make_delta(1)).changed);
+  EXPECT_EQ(a.server().save_state(), adopted_fold_text(a));
+}
+
+TEST(FleetWireProtocol, RejectedBatchLeavesTheOriginStreamUntouched) {
+  FleetNode node = make_node(3);
+  feed(node, 2, 61);
+  const std::vector<io::FleetVvEntry> vv = node.version_vector();
+  const std::uint64_t total = node.total_observations();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<serve::ServeObservation> bad_runtime = {
+      {0, 0, {2.0, 3.0}, 9.0}, {0, 1, {4.0, 5.0}, 8.0}, {0, 2, {6.0, 7.0}, nan}};
+  const std::vector<serve::ServeObservation> bad_feature = {
+      {0, 0, {2.0, 3.0}, 9.0}, {0, 1, {4.0, 5.0}, 8.0}, {0, 2, {6.0, inf}, 7.0}};
+  for (const auto* batch : {&bad_runtime, &bad_feature}) {
+    EXPECT_THROW(node.observe_batch(*batch), InvalidArgument);
+    const std::vector<io::FleetVvEntry> after = node.version_vector();
+    ASSERT_EQ(after.size(), vv.size());
+    for (std::size_t o = 0; o < vv.size(); ++o) {
+      EXPECT_EQ(after[o].per_arm_n, vv[o].per_arm_n) << "origin " << o;
+    }
+    EXPECT_EQ(node.total_observations(), total);
+  }
 }
 
 TEST(FleetWireProtocol, RestartVoidsTheFloorsPeersLearnedFromTheDeadIncarnation) {

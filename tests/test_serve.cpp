@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -456,6 +457,48 @@ TEST(BanditServer, ObserveRejectsStaleOrMalformedFeedback) {
   EXPECT_THROW(fh.observe_one({wrong, 0, x, 10.0}), InvalidArgument);
   fh.observe_one({right, 0, x, 10.0});
   EXPECT_EQ(fh.num_observations(), 1u);
+}
+
+TEST(BanditServer, NonFiniteFeedbackRejectsTheWholeBatch) {
+  // Regression: finiteness used to be checked only by the arm model inside
+  // the shard task — after the batch's earlier observations had trained
+  // the shard, and with the shard left unpublished, so greedy readers kept
+  // serving the pre-batch model while the live one had moved on.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const core::FeatureVector probe = features_for(100.0);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    BanditServer server = make_server(shards, ShardingPolicy::kFeatureHash);
+    auto feedback = [&server](double tasks, core::ArmIndex arm,
+                              double runtime) -> ServeObservation {
+      const core::FeatureVector x = features_for(tasks);
+      return {server.shard_of(x), arm, x, runtime};
+    };
+    server.observe_batch({feedback(10.0, 0, 12.0), feedback(20.0, 1, 9.0)});
+
+    const std::vector<ServeObservation> bad_runtime = {
+        feedback(30.0, 0, 14.0), feedback(40.0, 1, 11.0), feedback(50.0, 2, nan)};
+    const std::vector<ServeObservation> bad_feature = {
+        feedback(30.0, 0, 14.0), feedback(40.0, 1, 11.0), feedback(inf, 2, 7.0)};
+    for (const auto* batch : {&bad_runtime, &bad_feature}) {
+      const std::size_t count = server.num_observations();
+      const std::vector<std::size_t> shard_counts = server.shard_observation_counts();
+      std::vector<std::uint64_t> epochs;
+      std::vector<std::vector<double>> predictions;
+      for (std::size_t s = 0; s < shards; ++s) {
+        epochs.push_back(server.published_epoch(s));
+        predictions.push_back(server.predictions(s, probe));
+      }
+      EXPECT_THROW(server.observe_batch(*batch), InvalidArgument);
+      EXPECT_EQ(server.num_observations(), count);
+      EXPECT_EQ(server.shard_observation_counts(), shard_counts);
+      for (std::size_t s = 0; s < shards; ++s) {
+        EXPECT_EQ(server.published_epoch(s), epochs[s]) << "shard " << s;
+        EXPECT_EQ(server.predictions(s, probe), predictions[s]) << "shard " << s;
+      }
+    }
+  }
 }
 
 TEST(BanditServer, SingleShardAutoSyncIsANoOp) {

@@ -340,7 +340,10 @@ TEST(SnapshotGolden, BinaryLambdaFixturesRoundTripByteIdentical) {
 // Kind-4 (gossip delta) and kind-5 (node snapshot) containers, pinned the
 // same way: load -> re-save must reproduce the fixture bytes exactly, so
 // the delta framing a whole fleet gossips over can never drift silently.
-// Regenerating after an intentional format change:
+// Both cases also rebuild the generator's recipe with this tree's code and
+// compare against the checked-in bytes, which pins the engine blob a node
+// snapshot embeds — the model its rebuild adopted. Regenerating after an
+// intentional format change:
 //   ./build/tools/gen_fleet_fixtures --out-dir tests/data
 // (the generator's fixture_node() must stay in lockstep with the helper
 // below — both build node 1 after one gossip hop from node 0).
@@ -366,6 +369,15 @@ fleet::FleetNode fleet_fixture_node(std::uint32_t node_id, PolicyKind kind,
   }
   node.observe_batch(observations);
   return node;
+}
+
+/// The generator's recipe: node 1 after one gossip hop from node 0,
+/// through the wire codec.
+fleet::FleetNode fleet_fixture_hop(PolicyKind kind, double forgetting) {
+  const fleet::FleetNode a = fleet_fixture_node(0, kind, forgetting);
+  fleet::FleetNode b = fleet_fixture_node(1, kind, forgetting);
+  b.apply_delta(io::load_fleet_delta(io::save_fleet_delta(a.make_delta(1))));
+  return b;
 }
 
 TEST(SnapshotGolden, FleetDeltaFixturesRoundTripByteIdentical) {
@@ -396,6 +408,9 @@ TEST(SnapshotGolden, FleetDeltaFixturesRoundTripByteIdentical) {
     EXPECT_EQ(delta.origins.size(), 2u) << c.file;
     EXPECT_EQ(delta.version_vector.size(), 2u) << c.file;
     EXPECT_EQ(io::save_fleet_delta(delta), fixture) << c.file;
+    EXPECT_EQ(io::save_fleet_delta(fleet_fixture_hop(c.kind, c.forgetting).make_delta(2)),
+              fixture)
+        << c.file;
     // The pinned bytes stay semantically live: a receiver built with the
     // canonical fixture config must accept and fold every entry.
     fleet::FleetNode receiver = fleet_fixture_node(9, c.kind, c.forgetting);
@@ -417,6 +432,7 @@ TEST(SnapshotGolden, FleetNodeFixtureRestoresAndRoundTripsByteIdentical) {
   EXPECT_FALSE(state.server_blob.empty());
   EXPECT_EQ(state.origins.size(), 2u);
   EXPECT_EQ(io::save_fleet_node(state), fixture);
+  EXPECT_EQ(fleet_fixture_hop(PolicyKind::kEpsilonGreedy, 1.0).save_snapshot(), fixture);
   // The snapshot must keep restarting: next incarnation, both origin
   // streams intact (2 nodes x 8 observations).
   const fleet::FleetNode node = fleet::FleetNode::restore(fixture);
