@@ -191,7 +191,9 @@ double synthetic_runtime(const bw::hw::HardwareSpec& spec,
 
 std::vector<std::string> feature_names() {
   std::vector<std::string> names;
-  for (std::size_t i = 0; i < kNumFeatures; ++i) names.push_back("f" + std::to_string(i));
+  for (std::size_t i = 0; i < kNumFeatures; ++i) {
+    names.push_back(std::string("f").append(std::to_string(i)));
+  }
   return names;
 }
 
@@ -207,7 +209,7 @@ bw::hw::HardwareCatalog synthetic_catalog(std::size_t arms) {
   bw::hw::HardwareCatalog catalog;
   for (std::size_t i = 0; i < arms; ++i) {
     bw::hw::HardwareSpec spec;
-    spec.name = "S" + std::to_string(i);
+    spec.name = std::string("S").append(std::to_string(i));
     spec.cpus = static_cast<int>(1 + i % 64);
     spec.memory_gb = static_cast<double>(8 * (1 + i % 32));
     catalog.add(std::move(spec));

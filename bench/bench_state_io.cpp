@@ -51,7 +51,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 bw::hw::HardwareCatalog synthetic_catalog(std::size_t arms) {
   bw::hw::HardwareCatalog catalog;
   for (std::size_t i = 0; i < arms; ++i) {
-    catalog.add({"h" + std::to_string(i), static_cast<int>(2 + i % 14),
+    catalog.add({std::string("h").append(std::to_string(i)), static_cast<int>(2 + i % 14),
                  16.0 + static_cast<double>(i % 8) * 8.0, static_cast<int>(i % 2)});
   }
   return catalog;
@@ -59,7 +59,9 @@ bw::hw::HardwareCatalog synthetic_catalog(std::size_t arms) {
 
 std::vector<std::string> synthetic_features(std::size_t d) {
   std::vector<std::string> names;
-  for (std::size_t i = 0; i < d; ++i) names.push_back("f" + std::to_string(i));
+  for (std::size_t i = 0; i < d; ++i) {
+    names.push_back(std::string("f").append(std::to_string(i)));
+  }
   return names;
 }
 

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   bw::hw::HardwareCatalog catalog;
   std::vector<std::unique_ptr<bw::ThreadPool>> pools;
   for (std::size_t w : widths) {
-    catalog.add({"T" + std::to_string(w), static_cast<int>(w), static_cast<double>(w)});
+    catalog.add({std::string("T").append(std::to_string(w)), static_cast<int>(w),
+                 static_cast<double>(w)});
     pools.push_back(std::make_unique<bw::ThreadPool>(w));
   }
   std::printf("arms (thread pools): %s\n", catalog.to_string().c_str());

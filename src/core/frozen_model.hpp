@@ -20,13 +20,17 @@
 // other snapshot.
 //
 // Decision kernel (ROADMAP "Decision kernel"): scoring all arms is one
-// GEMM-shaped pass whose inner loop streams unit-stride across arms
-// (linalg::score_block), and batched greedy reads (recommend_greedy_batch)
-// amortize one traversal of the plane across B concurrent contexts. Each
+// register-blocked GEMM-shaped pass over the plane (linalg::score_block:
+// tiles of 4 contexts x 8 arms on AVX2 CPUs, 2 x 8 on the SSE2 baseline,
+// or 16 arms for a lone context), and batched greedy reads
+// (recommend_greedy_batch) share each plane load across a tile's
+// contexts. The pick is tolerant_select, whose catalogs of 16 arms or more
+// run a branchless vectorized kernel. Each
 // arm's score accumulates its dot product in the same index order as
-// LinearModel::predict, so a frozen decision is byte-identical to a
-// shared-lock decision against the live model it was frozen from, and to
-// the per-arm column walk (recommend_choice_scalar).
+// LinearModel::predict, and the select returns the old two-scan loop's
+// bits, so a frozen decision is byte-identical to a shared-lock decision
+// against the live model it was frozen from, and to the per-arm column
+// walk (recommend_choice_scalar).
 //
 // Instances are deeply immutable after construction and safe to read from
 // any number of threads with no synchronization beyond the publication

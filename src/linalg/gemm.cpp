@@ -1,68 +1,117 @@
 #include "linalg/gemm.hpp"
 
+#include <algorithm>
+
+#include "common/simd.hpp"
+
 namespace bw::linalg {
+namespace {
 
-// Runtime-dispatched SIMD clones (GNU ifunc): the repo never sets -march, so
-// plain -O3 vectorizes these loops with 16-byte SSE2 vectors only. The avx2
-// clone widens them to 32 bytes on hosts that have it, picked at load time —
-// no illegal instructions on older CPUs. FP safety: vectorizing across j
-// (independent output accumulators) never reorders any single accumulator's
-// k-sequence, and AVX2 alone does not enable FMA, so no mul+add contraction
-// can change the rounding — the byte-identity contract in gemm.hpp holds in
-// every clone. TSan builds skip the clones: the GNU ifunc resolver runs
-// during relocation, before the TSan runtime initializes, and segfaults
-// (reproducible with a 3-line target_clones program under -fsanitize=thread
-// on this toolchain). Identical results either way, so nothing is lost.
-#if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
-    !defined(__clang__) && !defined(__SANITIZE_THREAD__)
-#define BW_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define BW_KERNEL_CLONES
-#endif
-
-BW_KERNEL_CLONES
-void gemm_rm(const double* a, std::size_t m, std::size_t k, const double* b,
-             std::size_t n, double* c) {
-  // Row-axpy accumulation: C's row i starts at 0.0 and absorbs B's rows in
-  // ascending kk order, so each C(i, j) sees exactly the linalg::dot value
-  // sequence (the byte-identity contract in gemm.hpp). All inner loops run
-  // unit-stride over j, which is what lets them vectorize; unrolling kk by
-  // 4 inside one j pass quarters the C-row load/store re-streaming without
-  // touching the per-element rounding order — the four adds chain in kk
-  // order within the pass, the same chain the one-kk-at-a-time loop builds
-  // across passes. An L1-resident C row makes this comfortably faster than
-  // a register-tiled variant here, whose short k trip (d + 1) leaves its
-  // accumulator tile bouncing through the stack.
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * k;
-    double* crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0;
-    std::size_t kk = 0;
-    for (; kk + 4 <= k; kk += 4) {
-      const double a0 = arow[kk];
-      const double a1 = arow[kk + 1];
-      const double a2 = arow[kk + 2];
-      const double a3 = arow[kk + 3];
-      const double* b0 = b + kk * n;
-      const double* b1 = b0 + n;
-      const double* b2 = b1 + n;
-      const double* b3 = b2 + n;
-      for (std::size_t j = 0; j < n; ++j) {
-        crow[j] = (((crow[j] + a0 * b0[j]) + a1 * b1[j]) + a2 * b2[j]) + a3 * b3[j];
-      }
+// One register tile: Rows rows of C by the first `cols` columns (at most
+// Vecs vectors' worth). Each output lives in one lane of one accumulator
+// from a 0.0 start to its store, and absorbs a[kk] * b[kk] for kk
+// ascending as a separate multiply and add — the exact value sequence of
+// the naive dot, so every lane rounds as the scalar reference does. When
+// `cols` is short of Vecs whole vectors, the vectors past it move left to
+// end at column `cols`: they recompute columns another vector covers, to
+// the same bits, so no load or store leaves the tile and no vector is
+// partial. Needs cols >= kLanes<V>.
+template <class V, std::size_t Rows, std::size_t Vecs>
+BW_SIMD_INLINE void tile(const double* a, std::size_t k, const double* b, std::size_t n,
+                         double* c, std::size_t cols) {
+  using VU = simd::Unaligned<V>;
+  constexpr std::size_t kLanes = simd::kLanes<V>;
+  std::size_t col[Vecs];
+  for (std::size_t v = 0; v < Vecs; ++v) col[v] = std::min(v * kLanes, cols - kLanes);
+  V acc[Rows][Vecs] = {};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const double* brow = b + kk * n;
+    V bv[Vecs];
+    for (std::size_t v = 0; v < Vecs; ++v) {
+      bv[v] = *reinterpret_cast<const VU*>(brow + col[v]);
     }
-    for (; kk < k; ++kk) {
-      const double ak = arow[kk];
-      const double* bk = b + kk * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += ak * bk[j];
+    for (std::size_t r = 0; r < Rows; ++r) {
+      const double x = a[r * k + kk];
+      for (std::size_t v = 0; v < Vecs; ++v) acc[r][v] = acc[r][v] + x * bv[v];
     }
   }
+  for (std::size_t r = 0; r < Rows; ++r) {
+    for (std::size_t v = 0; v < Vecs; ++v) {
+      *reinterpret_cast<VU*>(c + r * n + col[v]) = acc[r][v];
+    }
+  }
+}
+
+// Rows rows of C: whole tiles of Vecs vectors, then one more ending at
+// column n, which overlaps the one before it. A row narrower than a tile
+// takes one tile of the fewest halvings of Vecs that still span it, so a
+// 5-arm catalog scores in one pass over k.
+template <class V, std::size_t Rows, std::size_t Vecs>
+BW_SIMD_INLINE void row_panel(const double* a, std::size_t k, const double* b,
+                              std::size_t n, double* c) {
+  constexpr std::size_t kWidth = simd::kLanes<V> * Vecs;
+  if constexpr (Vecs > 1) {
+    if (n <= kWidth / 2) return row_panel<V, Rows, Vecs / 2>(a, k, b, n, c);
+  }
+  if (n < kWidth) return tile<V, Rows, Vecs>(a, k, b, n, c, n);
+  std::size_t j = 0;
+  for (; j + kWidth <= n; j += kWidth) tile<V, Rows, Vecs>(a, k, b + j, n, c + j, kWidth);
+  if (j < n) {
+    tile<V, Rows, Vecs>(a, k, b + (n - kWidth), n, c + (n - kWidth), kWidth);
+  }
+}
+
+// C = A * B with V-wide vectors: Rows rows x 8 columns per tile (eight
+// accumulators in either build), 16 columns for a lone row (a one-context
+// decision, or the m % Rows remainder), which has no neighbours to share
+// B's loads with. Fewer columns than one vector holds take the naive loop.
+template <class V, std::size_t Rows>
+BW_SIMD_INLINE void gemm(const double* a, std::size_t m, std::size_t k, const double* b,
+                         std::size_t n, double* c) {
+  constexpr std::size_t kLanes = simd::kLanes<V>;
+  if (n < kLanes) {
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        double sum = 0.0;
+        for (std::size_t kk = 0; kk < k; ++kk) sum = sum + a[i * k + kk] * b[kk * n + j];
+        c[i * n + j] = sum;
+      }
+    }
+    return;
+  }
+  std::size_t i = 0;
+  for (; i + Rows <= m; i += Rows) {
+    row_panel<V, Rows, 8 / kLanes>(a + i * k, k, b, n, c + i * n);
+  }
+  for (; i < m; ++i) row_panel<V, 1, 16 / kLanes>(a + i * k, k, b, n, c + i * n);
+}
+
+BW_SIMD_AVX2 void gemm_avx2(const double* a, std::size_t m, std::size_t k,
+                            const double* b, std::size_t n, double* c) {
+  gemm<simd::V4d, 4>(a, m, k, b, n, c);
+}
+
+}  // namespace
+
+namespace detail {
+
+void gemm_rm_baseline(const double* a, std::size_t m, std::size_t k, const double* b,
+                      std::size_t n, double* c) {
+  gemm<simd::V2d, 2>(a, m, k, b, n, c);
+}
+
+}  // namespace detail
+
+void gemm_rm(const double* a, std::size_t m, std::size_t k, const double* b,
+             std::size_t n, double* c) {
+  if (simd::has_avx2()) return gemm_avx2(a, m, k, b, n, c);
+  detail::gemm_rm_baseline(a, m, k, b, n, c);
 }
 
 void score_block(const double* plane_t, std::size_t arms, std::size_t k,
                  const double* ctx, std::size_t n, double* out) {
   // out (n x arms) = ctx (n x k) * plane_t (k x arms): with the plane
-  // transposed, scoring IS a row-major GEMM whose inner loop streams across
+  // transposed, scoring IS a row-major GEMM whose tiles stream across
   // arms — unit-stride loads from plane_t, unit-stride stores into out, and
   // the per-element k order gemm_rm already guarantees.
   gemm_rm(ctx, n, k, plane_t, arms, out);

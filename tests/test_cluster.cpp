@@ -143,7 +143,8 @@ TEST(ClusterSim, StatsAggregateCompletedPods) {
 TEST(ClusterSim, ManyPodsConserveResources) {
   ClusterSim sim(two_nodes(), PlacementPolicy::kBestFit);
   for (int i = 0; i < 50; ++i) {
-    sim.submit(static_cast<double>(i) * 0.25, {"p" + std::to_string(i), 1.5, 2.0, 3.0});
+    sim.submit(static_cast<double>(i) * 0.25,
+               {std::string("p").append(std::to_string(i)), 1.5, 2.0, 3.0});
   }
   sim.run_until_idle();
   EXPECT_EQ(sim.stats().completed, 50u);

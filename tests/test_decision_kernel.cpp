@@ -33,6 +33,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -70,7 +71,7 @@ void expect_choice_identical(const TolerantChoice& a, const TolerantChoice& b) {
 hw::HardwareCatalog synth_catalog(std::size_t arms, std::size_t first = 0) {
   hw::HardwareCatalog catalog;
   for (std::size_t i = first; i < first + arms; ++i) {
-    catalog.add({"S" + std::to_string(i), static_cast<int>(1 + i % 64),
+    catalog.add({std::string("S").append(std::to_string(i)), static_cast<int>(1 + i % 64),
                  8.0 * static_cast<double>(1 + i % 32)});
   }
   return catalog;
@@ -104,24 +105,44 @@ void naive_gemm(const double* a, std::size_t m, std::size_t k, const double* b,
 }
 
 TEST(DecisionKernel, GemmRmMatchesNaiveLoopBitwise) {
-  // Shapes straddle every internal boundary: single-column outputs
-  // (n == 1, what a one-arm catalog scores), the kk unroll remainder
-  // (k % 4), and n not a multiple of any vector width.
-  const struct {
+  // Both builds of the kernel: gemm_rm as this CPU runs it (the AVX2 build
+  // on an AVX2 host) and the baseline build a CPU without AVX2 runs. The
+  // shapes straddle every tile boundary of each: row tiles of 4 (AVX2) and
+  // 2 (baseline) rows with the lone-row remainder (m = 1 .. 5, 8, 9);
+  // 8-column tiles, 16-column lone-row tiles, the overlapping tile that
+  // ends each row and the narrower tiles of rows narrower than a tile
+  // (n = 4 .. 31); fewer columns than one vector holds, which take the
+  // naive loop (n = 1 .. 3); a catalog-wide row (n = 2048); and short and
+  // long k.
+  struct Shape {
     std::size_t m, k, n;
-  } shapes[] = {{1, 9, 1},  {5, 34, 16}, {3, 7, 17},  {2, 9, 33},
-                {1, 4, 512}, {4, 1, 5},   {1, 3, 1000}, {7, 8, 2}};
+  };
+  std::vector<Shape> shapes = {{1, 9, 1},  {5, 34, 16}, {3, 7, 17},  {2, 9, 33},
+                               {1, 4, 512}, {4, 1, 5},   {1, 3, 1000}, {7, 8, 2}};
+  for (const std::size_t m : {1u, 2u, 3u, 4u, 5u, 8u, 9u}) {
+    for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 12u, 13u, 15u, 16u,
+                                17u, 20u, 24u, 31u, 2048u}) {
+      for (const std::size_t k : {1u, 8u, 9u}) shapes.push_back({m, k, n});
+    }
+  }
+  using Gemm = void (*)(const double*, std::size_t, std::size_t, const double*,
+                        std::size_t, double*);
+  const std::pair<const char*, Gemm> builds[] = {
+      {"gemm_rm", linalg::gemm_rm}, {"baseline", linalg::detail::gemm_rm_baseline}};
   bw::Rng rng(7);
   for (const auto& s : shapes) {
     std::vector<double> a(s.m * s.k), b(s.k * s.n);
     for (auto& v : a) v = rng.uniform(-3.0, 3.0);
     for (auto& v : b) v = rng.uniform(-3.0, 3.0);
-    std::vector<double> got(s.m * s.n, -1.0), want(s.m * s.n, -2.0);
-    linalg::gemm_rm(a.data(), s.m, s.k, b.data(), s.n, got.data());
+    std::vector<double> want(s.m * s.n, -2.0);
     naive_gemm(a.data(), s.m, s.k, b.data(), s.n, want.data());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(bits(got[i]), bits(want[i]))
-          << "m=" << s.m << " k=" << s.k << " n=" << s.n << " elt=" << i;
+    for (const auto& [name, gemm] : builds) {
+      std::vector<double> got(s.m * s.n, -1.0);
+      gemm(a.data(), s.m, s.k, b.data(), s.n, got.data());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(bits(got[i]), bits(want[i])) << name << " m=" << s.m << " k=" << s.k
+                                               << " n=" << s.n << " elt=" << i;
+      }
     }
   }
 }

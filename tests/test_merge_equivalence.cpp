@@ -325,7 +325,9 @@ TEST(BanditWareMerge, MatchesSingleStreamTrainingAcrossPoliciesAndDims) {
       const Stream s2 = random_stream(25 + 9 * dim, dim, rng);
       const auto config = policy_config(kind);
       std::vector<std::string> features;
-      for (std::size_t j = 0; j < dim; ++j) features.push_back("f" + std::to_string(j));
+      for (std::size_t j = 0; j < dim; ++j) {
+        features.push_back(std::string("f").append(std::to_string(j)));
+      }
 
       core::BanditWare merged(hw::ndp_catalog(), features, config);
       core::BanditWare other(hw::ndp_catalog(), features, config);
