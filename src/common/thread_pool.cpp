@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace bw {
 
@@ -54,7 +55,19 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
       for (std::size_t i = lo; i < hi; ++i) fn(i);
     }));
   }
-  for (auto& future : futures) future.get();  // rethrows first failure
+  wait_all(futures);
+}
+
+void wait_all(std::vector<std::future<void>>& futures) {
+  std::exception_ptr first_error;
+  for (auto& future : futures) {
+    try {
+      future.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace bw

@@ -1,7 +1,8 @@
 #pragma once
 // Fixed-size thread pool with future-returning submission and a blocking
 // parallel_for. Used by the multi-simulation runner (one simulation per
-// task) and by the tiled matmul workload (one tile-row per task).
+// task), the tiled matmul workload (one tile-row per task) and the serving
+// engine's batch fan-out (one shard per task).
 
 #include <condition_variable>
 #include <cstddef>
@@ -44,8 +45,8 @@ class ThreadPool {
   }
 
   /// Runs fn(i) for i in [begin, end), partitioned into `size()` blocks.
-  /// Blocks until all iterations finish; rethrows the first exception.
-  /// Safe to call with begin == end (no-op).
+  /// Blocks until every block has finished, then rethrows the first
+  /// exception (see wait_all). Safe to call with begin == end (no-op).
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 
@@ -58,5 +59,10 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
+
+/// Waits for every future, then rethrows the first failure. Rethrowing at
+/// the first failed get() would unwind the caller's frame while later
+/// tasks still run against the state it owns.
+void wait_all(std::vector<std::future<void>>& futures);
 
 }  // namespace bw

@@ -14,6 +14,10 @@ ArmBank::ArmBank(const hw::HardwareCatalog& catalog, std::size_t num_features,
     : tolerance_(tolerance), dim_(num_features) {
   BW_CHECK_MSG(!catalog.empty(), "policy needs at least one arm");
   BW_CHECK_MSG(num_features > 0, "policy needs at least one feature");
+  // NaN fails both comparisons. +inf stays legal: tolerant_select admits
+  // every arm under an infinite ratio or slack.
+  BW_CHECK_MSG(tolerance.ratio >= 0.0 && tolerance.seconds >= 0.0,
+               "tolerance parameters must be non-negative");
   arms_.reserve(catalog.size());
   for (std::size_t i = 0; i < catalog.size(); ++i) {
     arms_.emplace_back(num_features, fit);

@@ -32,7 +32,8 @@ namespace bw::core {
 class ArmBank {
  public:
   /// One LinearArmModel per catalog arm, built from `fit`; resource costs
-  /// are precomputed from the catalog for the tolerant tie-break.
+  /// are precomputed from the catalog for the tolerant tie-break. Throws
+  /// InvalidArgument on a negative or NaN tolerance ratio or seconds.
   ArmBank(const hw::HardwareCatalog& catalog, std::size_t num_features,
           const linalg::FitOptions& fit, const ToleranceParams& tolerance,
           const hw::ResourceWeights& weights);

@@ -82,17 +82,6 @@ ArmIndex BanditWare::recommend_index(const FeatureVector& x) const {
   return banked().recommend(x);
 }
 
-BanditWare::Decision BanditWare::recommend_decision(const FeatureVector& x) const {
-  BW_CHECK_MSG(x.size() == feature_names_.size(), "feature vector size mismatch");
-  const auto choice = banked().recommend_choice(x);
-  Decision decision;
-  decision.arm = choice.arm;
-  decision.spec = &catalog_[choice.arm];
-  decision.explored = false;
-  decision.predicted_runtime_s = choice.predicted_runtime;
-  return decision;
-}
-
 void BanditWare::observe(ArmIndex arm, const FeatureVector& x, double runtime_s) {
   BW_CHECK_MSG(x.size() == feature_names_.size(), "feature vector size mismatch");
   banked().observe(arm, x, runtime_s);

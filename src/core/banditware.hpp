@@ -90,12 +90,6 @@ class BanditWare {
   const hw::HardwareSpec& recommend(const FeatureVector& x) const;
   ArmIndex recommend_index(const FeatureVector& x) const;
 
-  /// Greedy tolerant recommendation with its prediction attached — one
-  /// prediction pass, cheaper than recommend_index() + predictions() on a
-  /// serving hot path. `explored` is always false. Identical across policy
-  /// kinds (the greedy surface is shared substrate, not policy-specific).
-  Decision recommend_decision(const FeatureVector& x) const;
-
   /// Feeds back an observed runtime (ε-greedy also decays ε, per Alg. 1).
   void observe(ArmIndex arm, const FeatureVector& x, double runtime_s);
 

@@ -26,7 +26,8 @@ LinUcb::LinUcb(const hw::HardwareCatalog& catalog, std::size_t num_features,
 
 LinUcb::LinUcb(ArmBank bank, double alpha)
     : BankedPolicy(std::move(bank)), alpha_(alpha) {
-  BW_CHECK_MSG(alpha_ >= 0.0, "alpha must be non-negative");
+  BW_CHECK_MSG(std::isfinite(alpha_) && alpha_ >= 0.0,
+               "alpha must be finite and non-negative");
 }
 
 double LinUcb::lcb(ArmIndex arm, const FeatureVector& x) const {

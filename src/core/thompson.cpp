@@ -26,7 +26,8 @@ LinearThompson::LinearThompson(const hw::HardwareCatalog& catalog,
 
 LinearThompson::LinearThompson(ArmBank bank, double posterior_scale)
     : BankedPolicy(std::move(bank)), posterior_scale_(posterior_scale) {
-  BW_CHECK_MSG(posterior_scale_ > 0.0, "posterior scale must be positive");
+  BW_CHECK_MSG(std::isfinite(posterior_scale_) && posterior_scale_ > 0.0,
+               "posterior scale must be finite and positive");
 }
 
 ArmIndex LinearThompson::select(const FeatureVector& x, Rng& rng) {

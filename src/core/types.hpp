@@ -18,8 +18,6 @@ using ArmIndex = std::size_t;
 struct ToleranceParams {
   double ratio = 0.0;    ///< tolerance_ratio (tr), e.g. 0.05 = 5% slowdown
   double seconds = 0.0;  ///< tolerance_seconds (ts), e.g. 20.0
-
-  bool is_zero() const { return ratio == 0.0 && seconds == 0.0; }
 };
 
 /// One recorded execution: workflow features, the arm it ran on, and the

@@ -132,10 +132,6 @@ class FleetNode {
   std::uint64_t total_observations() const;
   std::size_t num_origins() const { return origins_.size(); }
 
-  /// The wire-format config envelope this node stamps on and demands from
-  /// every message.
-  io::FleetWireConfig wire_config() const { return wire_config_; }
-
   /// Durable snapshot (kind-5 container): identity, the full serving-engine
   /// state as a nested blob, and the origin store.
   std::string save_snapshot() const;
@@ -173,6 +169,7 @@ class FleetNode {
   /// non-default fit option) from the fleet envelope, which does persist
   /// it because the fusion algebra depends on it.
   core::BanditWareConfig bandit_config_;
+  /// The config envelope this node stamps on and demands from every message.
   io::FleetWireConfig wire_config_;
   /// Scratch arm for local feedback: each observation restores the
   /// self-origin slot into it, observes, and exports back — the same

@@ -18,7 +18,7 @@
 //   0x11 shard      shard index + nested banditware-state container
 //   0x12 base       nested banditware-state container (sync baseline)
 //   0x13 lambda     forgetting factor λ (f64); written before the header,
-//                   only when λ != 1 (cross-checked against the shard blobs)
+//                   only when λ != 1 (checked against the restored engine)
 //   0x7F end        number of shard + base packets written
 //
 // Truncation contract: a torn or checksum-failing packet ends the stream
@@ -29,10 +29,8 @@
 // a checksum-valid packet is a hard ParseError: those bytes were written
 // that way.
 
-#include <cmath>
 #include <optional>
 #include <sstream>
-#include <unordered_set>
 
 #include "common/error.hpp"
 #include "io/codec.hpp"
@@ -55,13 +53,6 @@ constexpr std::uint8_t kShard = 0x11;
 constexpr std::uint8_t kBase = 0x12;
 constexpr std::uint8_t kServerLambda = 0x13;
 constexpr std::uint8_t kEnd = 0x7F;
-
-// The same hardening caps the text readers enforce: hostile counts must
-// fail cleanly (ParseError), never drive an allocation into bad_alloc.
-constexpr std::size_t kMaxFeatures = 512;
-constexpr std::size_t kMaxArms = 4096;
-constexpr std::size_t kMaxShards = 4096;
-constexpr std::uint64_t kMaxObservationsPerArm = 100'000'000;
 
 [[noreturn]] void fail(const std::string& what) {
   throw ParseError("BanditWare::load_state: " + what);
@@ -125,16 +116,6 @@ core::BanditWareConfig get_bandit_config(PayloadReader& reader, double lambda,
       (lambda != 1.0 || config.policy_kind != PolicyKind::kEpsilonGreedy)) {
     raise("exact_history rows require an epsilon-greedy snapshot with lambda 1");
   }
-  // Scalar ranges validated here, like the text reader: a corrupted
-  // snapshot surfaces as ParseError, never a constructor's InvalidArgument.
-  if (config.policy_kind == PolicyKind::kLinUcb &&
-      (!std::isfinite(config.alpha) || config.alpha < 0.0)) {
-    raise("alpha out of range");
-  }
-  if (config.policy_kind == PolicyKind::kThompson &&
-      (!std::isfinite(config.posterior_scale) || config.posterior_scale <= 0.0)) {
-    raise("posterior_scale out of range");
-  }
   return config;
 }
 
@@ -161,12 +142,10 @@ void put_catalog(std::string& out, const hw::HardwareCatalog& catalog) {
 
 /// Reads a lambda extension packet's payload. Written before the header,
 /// only when λ != 1, so legacy readers skip it and λ=1 streams never grow.
-double get_lambda(PayloadReader& payload, void (*raise)(const std::string&)) {
+/// Its range is the RLS constructor's rule.
+double get_lambda(PayloadReader& payload) {
   const double lambda = payload.get_f64();
   payload.expect_done("lambda");
-  if (!std::isfinite(lambda) || lambda <= 0.0 || lambda > 1.0) {
-    raise("lambda out of range");
-  }
   return lambda;
 }
 
@@ -176,12 +155,7 @@ hw::HardwareCatalog get_catalog(PayloadReader& reader,
   if (count == 0) raise("expected arms");
   if (count > kMaxArms) raise("arm count exceeds limit");
   hw::HardwareCatalog catalog;
-  std::unordered_set<std::string> seen;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    hw::HardwareSpec spec = get_spec(reader);
-    if (!seen.insert(spec.name).second) raise("duplicate arm name: " + spec.name);
-    catalog.add(std::move(spec));
-  }
+  for (std::uint32_t i = 0; i < count; ++i) catalog.add(get_spec(reader));
   return catalog;
 }
 
@@ -223,12 +197,21 @@ void write_bandit_packets(std::ostream& os, const BanditWare& bandit) {
   write_packet(os, kEnd, payload);
 }
 
+/// Appends one banditware-state container to `out`. A server snapshot's
+/// shard and base blobs are written straight into their packet payloads,
+/// so a save holds no second copy of a blob (a 2048-arm blob is 1.3 MB).
+void append_bandit_binary(std::string& out, const BanditWare& bandit) {
+  std::ostringstream os(std::move(out), std::ios::binary | std::ios::ate);
+  write_bandit_packets(os, bandit);
+  out = std::move(os).str();
+}
+
 }  // namespace
 
 std::string bandit_state_binary(const BanditWare& bandit) {
-  std::ostringstream os(std::ios::binary);
-  write_bandit_packets(os, bandit);
-  return os.str();
+  std::string out;
+  append_bandit_binary(out, bandit);
+  return out;
 }
 
 core::BanditWare load_bandit_binary(std::istream& is, LoadInfo* info) {
@@ -253,7 +236,7 @@ core::BanditWare load_bandit_binary(std::istream& is, LoadInfo* info) {
       case kBanditLambda: {
         if (bandit.has_value()) fail("lambda packet after header");
         if (lambda != 1.0) fail("duplicate lambda packet");
-        lambda = get_lambda(payload, &fail);
+        lambda = get_lambda(payload);
         break;
       }
       case kBanditHeader: {
@@ -372,11 +355,11 @@ void save_server_binary(std::ostream& os, const serve::BanditServer& server) {
   for (std::size_t s = 0; s < num_shards; ++s) {
     payload.clear();
     put_u32(payload, static_cast<std::uint32_t>(s));
-    payload += bandit_state_binary(StateAccess::shard_bandit(server, s));
+    append_bandit_binary(payload, StateAccess::shard_bandit(server, s));
     write_packet(os, kShard, payload);
   }
   payload.clear();
-  payload += bandit_state_binary(StateAccess::sync_base(server));
+  append_bandit_binary(payload, StateAccess::sync_base(server));
   write_packet(os, kBase, payload);
 
   payload.clear();
@@ -418,7 +401,7 @@ serve::BanditServer load_server_binary(std::istream& is, LoadInfo* info) {
       case kServerLambda: {
         if (saw_header) fail_server("lambda packet after header");
         if (header_lambda != 1.0) fail_server("duplicate lambda packet");
-        header_lambda = get_lambda(payload, &fail_server);
+        header_lambda = get_lambda(payload);
         break;
       }
       case kServerHeader: {
@@ -458,25 +441,7 @@ serve::BanditServer load_server_binary(std::istream& is, LoadInfo* info) {
         const std::uint32_t index = payload.get_u32();
         if (index >= num_shards) fail_server("shard packet names unknown shard");
         if (slots[index].has_value()) fail_server("duplicate shard packet");
-        BanditWare replica = load_blob(payload, "shard");
-        if (replica.config().policy_kind != config.bandit.policy_kind) {
-          fail_server("shard policy '" + core::to_string(replica.config().policy_kind) +
-                      "' contradicts the header policy '" +
-                      core::to_string(config.bandit.policy_kind) + "'");
-        }
-        if (replica.feature_names() != feature_names) {
-          fail_server("shard feature names contradict the header");
-        }
-        if (replica.catalog().specs() != catalog.specs()) {
-          fail_server("shard catalog contradicts the header");
-        }
-        if (replica.config().policy.fit.forgetting != header_lambda) {
-          fail_server("shard lambda contradicts the header lambda");
-        }
-        // The per-shard config is authoritative, mirroring the text loader
-        // (every replica is constructed identically).
-        config.bandit = replica.config();
-        slots[index] = std::move(replica);
+        slots[index] = load_blob(payload, "shard");
         ++blob_packets;
         break;
       }
@@ -484,14 +449,6 @@ serve::BanditServer load_server_binary(std::istream& is, LoadInfo* info) {
         if (!saw_header) fail_server("base packet before header");
         if (base != nullptr) fail_server("duplicate base packet");
         base = std::make_unique<BanditWare>(load_blob(payload, "base"));
-        if (base->config().policy_kind != config.bandit.policy_kind) {
-          fail_server("base policy '" + core::to_string(base->config().policy_kind) +
-                      "' contradicts the header policy '" +
-                      core::to_string(config.bandit.policy_kind) + "'");
-        }
-        if (base->config().policy.fit.forgetting != header_lambda) {
-          fail_server("base lambda contradicts the header lambda");
-        }
         ++blob_packets;
         break;
       }
@@ -522,13 +479,18 @@ serve::BanditServer load_server_binary(std::istream& is, LoadInfo* info) {
     }
   }
 
+  // The restore constructor holds every blob to the first one; the shape
+  // the header declares (0x10, with λ from 0x13) meets the same rule.
+  serve::BanditServer server = StateAccess::make_server(
+      config, std::move(replicas), std::move(base), rr_counter, observe_batches);
+  StateAccess::check_shape(server, catalog, feature_names, config.bandit, "header");
+
   if (info != nullptr) {
     info->format = Format::kBinary;
     info->version = kMagic[7];
     info->truncated = reader.truncated() || !saw_end;
   }
-  return StateAccess::make_server(config, std::move(replicas), std::move(base),
-                                  rr_counter, observe_batches);
+  return server;
 }
 
 }  // namespace bw::io::detail

@@ -52,6 +52,15 @@ enum class PayloadKind : std::uint8_t {
 /// largest is a whole shard blob); anything bigger is a corrupted length.
 inline constexpr std::uint32_t kMaxPacketPayload = 64u << 20;  // 64 MiB
 
+/// Hostile-input caps every decoder shares — text and binary snapshots, run
+/// tables, fleet wire. A corrupted count must fail as ParseError before it
+/// sizes anything (each feature sizes a (d+1) x (d+1) matrix per arm); real
+/// catalogs hold a handful of arms over a handful of features.
+inline constexpr std::size_t kMaxFeatures = 512;
+inline constexpr std::size_t kMaxArms = 4096;
+inline constexpr std::size_t kMaxShards = 4096;
+inline constexpr std::uint64_t kMaxObservationsPerArm = 100'000'000;
+
 /// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) — the classic
 /// zlib/PNG checksum, table-driven, no dependencies.
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);

@@ -23,11 +23,6 @@ constexpr std::uint8_t kPacketNodeOriginBlock = 0x42;
 constexpr std::uint8_t kPacketEnd = 0x7F;
 constexpr std::uint8_t kWireVersion = 1;
 
-// Same hardening ceilings as the snapshot readers (binary_state.cpp).
-constexpr std::size_t kMaxFeatures = 512;
-constexpr std::size_t kMaxArms = 4096;
-constexpr std::uint64_t kMaxObservationsPerArm = 100'000'000;
-
 [[noreturn]] void fail(const std::string& what) {
   throw ParseError("fleet wire: " + what);
 }

@@ -20,10 +20,6 @@ constexpr std::uint8_t kEnd = 0x7F;
 /// that a torn tail loses little (a block of 4096 x 12 doubles is ~400 KB).
 constexpr std::uint32_t kRowsPerBlock = 4096;
 
-// Same hardening caps as the state codecs.
-constexpr std::size_t kMaxFeatures = 512;
-constexpr std::size_t kMaxArms = 4096;
-
 [[noreturn]] void fail(const std::string& what) {
   throw ParseError("read_run_table: " + what);
 }

@@ -62,9 +62,19 @@ struct StateAccess {
   static std::uint64_t observe_batches(const serve::BanditServer& server) {
     return server.observe_batches_.load(std::memory_order_relaxed);
   }
+  /// The engine's shape rule, applied to what a snapshot header declares.
+  static void check_shape(const serve::BanditServer& server,
+                          const hw::HardwareCatalog& catalog,
+                          const std::vector<std::string>& feature_names,
+                          const core::BanditWareConfig& config, const std::string& what) {
+    server.check_shape(catalog, feature_names, config, what);
+  }
 
   /// The restore path: builds a server around pre-loaded replicas (and an
   /// optional sync baseline) and reinstates the routing/cadence counters.
+  /// `config.bandit` is not read: the engine takes its shape from the first
+  /// replica and rejects any replica or `base` that differs (InvalidArgument,
+  /// which the io entry points turn into ParseError).
   static serve::BanditServer make_server(serve::BanditServerConfig config,
                                          std::vector<core::BanditWare> replicas,
                                          std::unique_ptr<core::BanditWare> base,

@@ -10,10 +10,8 @@
 // rdbuf()->in_avail(), because in_avail() only sees the buffered portion
 // of a file stream and the codec reads from arbitrary istreams.
 
-#include <cmath>
 #include <iomanip>
 #include <sstream>
-#include <unordered_set>
 
 #include "common/error.hpp"
 #include "io/codec.hpp"
@@ -31,35 +29,19 @@ using core::PolicyKind;
   throw ParseError("BanditWare::load_state: " + what);
 }
 
-/// Arms are bounded by what a serialized catalog can sanely hold; a
-/// mis-parsed (negative / overflowed) count must not turn into a
-/// multi-gigabyte replay allocation.
-constexpr long long kMaxObservationsPerArm = 100'000'000;
-
-/// Header counts are bounded the same way: a corrupted "features N" or
-/// "arms N" line must fail cleanly, not drive a resize() into bad_alloc
-/// (each feature later sizes a (d+1)x(d+1) matrix per arm). Real catalogs
-/// hold a handful of arms over a handful of features; these caps are
-/// orders of magnitude above any sane snapshot.
-constexpr std::size_t kMaxFeatures = 512;
-constexpr std::size_t kMaxArms = 4096;
-constexpr std::size_t kMaxShards = 4096;
-
 /// Reads a per-arm observation count defensively: the stream extracts a
 /// signed value so "-3" is caught as negative instead of wrapping to a
-/// huge unsigned count, and overflow sets failbit.
+/// huge unsigned count, and overflow sets failbit. The cap keeps a
+/// mis-parsed count from turning into a multi-gigabyte replay allocation.
 std::size_t read_obs_count(std::istream& is) {
   long long obs = 0;
   is >> obs;
   if (!is) fail("malformed obs count");
   if (obs < 0) fail("negative obs count");
-  if (obs > kMaxObservationsPerArm) fail("obs count exceeds limit");
+  if (static_cast<std::uint64_t>(obs) > kMaxObservationsPerArm) {
+    fail("obs count exceeds limit");
+  }
   return static_cast<std::size_t>(obs);
-}
-
-void check_unique_arm_name(std::unordered_set<std::string>& seen,
-                           const std::string& name) {
-  if (!seen.insert(name).second) fail("duplicate arm name: " + name);
 }
 
 struct SnapshotHeader {
@@ -143,7 +125,6 @@ BanditWare load_bandit_text_v1(std::istream& is) {
 
   std::vector<ArmRows> arms(header.num_arms);
   hw::HardwareCatalog catalog;
-  std::unordered_set<std::string> seen_names;
   for (auto& arm : arms) {
     hw::HardwareSpec spec;
     is >> token;
@@ -152,7 +133,6 @@ BanditWare load_bandit_text_v1(std::istream& is) {
     if (token != "obs") fail("expected obs count");
     const std::size_t obs = read_obs_count(is);
     if (!is) fail("truncated arm header");
-    check_unique_arm_name(seen_names, spec.name);
     catalog.add(spec);
     read_rows(is, header.feature_names.size(), obs, arm);
   }
@@ -173,12 +153,11 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
   double alpha = 1.0;
   double posterior_scale = 1.0;
   double lambda = 1.0;  // v1-v3 predate the discount: legacy loads as λ=1
+  // λ, α and v are range-checked by the RLS and policy constructors (the
+  // io entry points turn their InvalidArgument into ParseError).
   if (version >= 4) {
     is >> token >> lambda;
     if (!is || token != "lambda") fail("expected lambda");
-    if (!std::isfinite(lambda) || lambda <= 0.0 || lambda > 1.0) {
-      fail("lambda out of range");
-    }
   }
   if (version >= 3) {
     is >> token;
@@ -187,19 +166,12 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
     is >> kind_name;
     if (!is) fail("truncated policy line");
     kind = core::parse_policy_kind(kind_name);
-    // Scalar ranges are validated here, not left to the policy
-    // constructors: a corrupted snapshot must surface as the documented
-    // ParseError, never as the constructors' InvalidArgument.
     if (kind == PolicyKind::kLinUcb) {
       is >> token >> alpha;
       if (!is || token != "alpha") fail("expected alpha");
-      if (!std::isfinite(alpha) || alpha < 0.0) fail("alpha out of range");
     } else if (kind == PolicyKind::kThompson) {
       is >> token >> posterior_scale;
       if (!is || token != "posterior_scale") fail("expected posterior_scale");
-      if (!std::isfinite(posterior_scale) || posterior_scale <= 0.0) {
-        fail("posterior_scale out of range");
-      }
     }
   }
   SnapshotHeader header = read_header(is, version);
@@ -224,7 +196,6 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
   };
   std::vector<ArmState> arms(header.num_arms);
   hw::HardwareCatalog catalog;
-  std::unordered_set<std::string> seen_names;
   for (auto& arm : arms) {
     hw::HardwareSpec spec;
     is >> token;
@@ -237,7 +208,6 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
     }
     arm.n = read_obs_count(is);
     if (!is) fail("truncated arm header");
-    check_unique_arm_name(seen_names, spec.name);
     catalog.add(spec);
     if (arm.exact) {
       read_rows(is, dim, arm.n, arm.rows);
@@ -420,7 +390,11 @@ serve::BanditServer load_server_text(std::istream& is, int version) {
   is >> token >> explore;
   if (!is || token != "explore") fail("expected explore");
   config.explore = explore != 0;
-  double header_lambda = 1.0;  // v1-v4 predate the discount: legacy λ=1
+  // What the header declares about the engine's shape, checked against the
+  // restored engine at the end: ε-greedy at λ = 1 until v4 / v5 say
+  // otherwise (v1-v3 predate the policy axis, v1-v4 the discount).
+  PolicyKind header_kind = PolicyKind::kEpsilonGreedy;
+  double header_lambda = 1.0;
   if (version >= 2) {
     is >> token >> config.sync_every;
     if (!is || token != "sync_every") fail("expected sync_every");
@@ -434,20 +408,12 @@ serve::BanditServer load_server_text(std::istream& is, int version) {
     if (version >= 5) {
       is >> token >> header_lambda;
       if (!is || token != "lambda") fail("expected lambda");
-      if (!std::isfinite(header_lambda) || header_lambda <= 0.0 ||
-          header_lambda > 1.0) {
-        fail("lambda out of range");
-      }
-      config.bandit.policy.fit.forgetting = header_lambda;
     }
     if (version >= 4) {
-      // v1-v3 predate the policy axis; they always restore as ε-greedy
-      // (the shard blobs carry no policy line either). The v4 token is
-      // verified against the blob configs after the replicas load.
       std::string policy_name;
       is >> token >> policy_name;
       if (!is || token != "policy") fail("expected policy");
-      config.bandit.policy_kind = core::parse_policy_kind(policy_name);
+      header_kind = core::parse_policy_kind(policy_name);
     }
     // The auto-sync cadence phase: without it a restored server with
     // sync_every > 1 would sync on different batches than the original.
@@ -483,25 +449,11 @@ serve::BanditServer load_server_text(std::istream& is, int version) {
 
   std::vector<core::BanditWare> replicas;
   replicas.reserve(num_shards);
-  // The header's policy kind (ε-greedy implicitly for v1-v3) must agree
-  // with what the shard blobs actually carry — a mismatch means the
-  // snapshot was stitched together, not written by save_state().
-  const PolicyKind header_kind = config.bandit.policy_kind;
   for (std::size_t s = 0; s < num_shards; ++s) {
     std::size_t index = 0;
     is >> token >> index;
     if (!is || token != "shard" || index != s) fail("expected shard record");
     replicas.push_back(BanditWare::load_state(read_blob("shard")));
-    // The per-shard config is authoritative for the whole engine (every
-    // replica is constructed identically).
-    config.bandit = replicas.back().config();
-    if (config.bandit.policy_kind != header_kind) {
-      fail("shard policy '" + core::to_string(config.bandit.policy_kind) +
-           "' contradicts the header policy '" + core::to_string(header_kind) + "'");
-    }
-    if (config.bandit.policy.fit.forgetting != header_lambda) {
-      fail("shard lambda contradicts the header lambda");
-    }
   }
 
   // v1 snapshots predate cross-shard sync; their baseline is the prior
@@ -511,17 +463,21 @@ serve::BanditServer load_server_text(std::istream& is, int version) {
     is >> token;
     if (!is || token != "base") fail("expected base record");
     base = std::make_unique<core::BanditWare>(BanditWare::load_state(read_blob("base")));
-    if (base->config().policy_kind != header_kind) {
-      fail("base policy '" + core::to_string(base->config().policy_kind) +
-           "' contradicts the header policy '" + core::to_string(header_kind) + "'");
-    }
-    if (base->config().policy.fit.forgetting != header_lambda) {
-      fail("base lambda contradicts the header lambda");
-    }
   }
 
-  return StateAccess::make_server(config, std::move(replicas), std::move(base),
-                                  rr_counter, observe_batches);
+  // The restore constructor holds every blob to the first one; what is
+  // left is the header's word against the engine's.
+  serve::BanditServer server = StateAccess::make_server(
+      config, std::move(replicas), std::move(base), rr_counter, observe_batches);
+  const core::BanditWareConfig& engine = server.config().bandit;
+  if (engine.policy_kind != header_kind) {
+    fail("shard policy '" + core::to_string(engine.policy_kind) +
+         "' contradicts the header policy '" + core::to_string(header_kind) + "'");
+  }
+  if (engine.policy.fit.forgetting != header_lambda) {
+    fail("shard lambda contradicts the header lambda");
+  }
+  return server;
 }
 
 }  // namespace bw::io::detail

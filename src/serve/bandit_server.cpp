@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <exception>
 #include <future>
 #include <mutex>
 #include <shared_mutex>
@@ -30,21 +29,6 @@ std::uint64_t hash_features(const core::FeatureVector& x) {
     }
   }
   return h;
-}
-
-/// Waits for every task, then rethrows the first failure. Unwinding on the
-/// first get() would destroy the stack buffers the remaining tasks still
-/// reference.
-void wait_all(std::vector<std::future<void>>& futures) {
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 std::vector<core::BanditWare> make_replicas(const hw::HardwareCatalog& catalog,
@@ -150,16 +134,25 @@ BanditServer::BanditServer(BanditServerConfig config,
                            std::unique_ptr<core::BanditWare> sync_base)
     : config_(config), instance_tag_(next_instance_tag()) {
   BW_CHECK_MSG(!replicas.empty(), "BanditServer needs at least one shard replica");
+  // The first replica defines the engine; every other replica and the
+  // baseline must match it, so a stitched snapshot fails here, at load.
   config_.num_shards = replicas.size();
+  config_.bandit = replicas.front().config();
   feature_names_ = replicas.front().feature_names();
   num_arms_ = replicas.front().num_arms();
   catalog_ = replicas.front().catalog();
+  for (std::size_t i = 1; i < replicas.size(); ++i) {
+    check_shape(replicas[i], "shard " + std::to_string(i));
+  }
   // The sync baseline defaults to the untrained prior (correct for fresh
   // servers and for legacy snapshots, which predate cross-shard sync).
-  sync_base_ = sync_base != nullptr
-                   ? std::move(sync_base)
-                   : std::make_unique<core::BanditWare>(catalog_, feature_names_,
-                                                        config_.bandit);
+  if (sync_base != nullptr) {
+    check_shape(*sync_base, "sync baseline");
+    sync_base_ = std::move(sync_base);
+  } else {
+    sync_base_ =
+        std::make_unique<core::BanditWare>(catalog_, feature_names_, config_.bandit);
+  }
   base_obs_count_.store(sync_base_->num_observations(), std::memory_order_relaxed);
   Rng seeder(config_.seed);
   shards_.reserve(replicas.size());
@@ -239,8 +232,7 @@ ServeDecision BanditServer::decide_locked(Shard& shard, std::size_t shard_index,
                                           const core::FeatureVector& x) {
   ServeDecision out;
   out.shard = shard_index;
-  const auto decision = config_.explore ? shard.bandit.next(x, shard.rng)
-                                        : shard.bandit.recommend_decision(x);
+  const auto decision = shard.bandit.next(x, shard.rng);
   out.arm = decision.arm;
   // Point at the server-held catalog, not the replica's: callers read the
   // spec after the shard lock is released, and a sync publication
@@ -517,37 +509,44 @@ void BanditServer::sync_shards() {
   sync_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
-core::BanditWare BanditServer::fused_model() const {
-  // Same fold as sync_shards — fused = base + sum_s (shard_s - base) — but
-  // read-only: shared locks, nothing redistributed, nothing published. The
-  // consistent cut (fuse lock excludes a mid-publish generation) makes the
-  // result exactly the model a stop-the-world sync would have installed.
-  std::shared_lock fuse_lock(fuse_mutex_);
-  std::vector<std::shared_lock<std::shared_mutex>> locks;
-  locks.reserve(shards_.size());
-  for (const auto& shard : shards_) locks.emplace_back(shard->mutex);
-  core::BanditWare fused = *sync_base_;
-  for (const auto& shard : shards_) fused.merge_from(shard->bandit, sync_base_.get());
-  return fused;
+void BanditServer::check_shape(const hw::HardwareCatalog& catalog,
+                               const std::vector<std::string>& feature_names,
+                               const core::BanditWareConfig& theirs,
+                               const std::string& what) const {
+  const core::BanditWareConfig& mine = config_.bandit;
+  const auto require = [&what](bool same, const char* field) {
+    if (!same) throw InvalidArgument(what + ": " + field + " differs from the engine's");
+  };
+  require(catalog.specs() == catalog_.specs(), "catalog");
+  require(feature_names == feature_names_, "feature names");
+  require(theirs.policy_kind == mine.policy_kind, "policy kind");
+  // Only the scalars the kind reads, as in merge_from: the policy
+  // constructors validated those, while a field no policy reads may hold
+  // anything, NaN included, which would not even match itself.
+  switch (mine.policy_kind) {
+    case core::PolicyKind::kEpsilonGreedy:
+      require(theirs.policy.initial_epsilon == mine.policy.initial_epsilon &&
+                  theirs.policy.decay == mine.policy.decay,
+              "exploration schedule");
+      break;
+    case core::PolicyKind::kLinUcb:
+      require(theirs.alpha == mine.alpha, "alpha");
+      break;
+    case core::PolicyKind::kThompson:
+      require(theirs.posterior_scale == mine.posterior_scale, "posterior scale");
+      break;
+  }
+  require(theirs.policy.tolerance.ratio == mine.policy.tolerance.ratio &&
+              theirs.policy.tolerance.seconds == mine.policy.tolerance.seconds,
+          "tolerance");
+  require(theirs.policy.fit.forgetting == mine.policy.fit.forgetting,
+          "forgetting factor");
 }
 
 void BanditServer::adopt_model(const core::BanditWare& model) {
-  // Shape checks mirror merge_from's: adopting a foreign model must fail
-  // loudly, not serve from a catalog the routing layer knows nothing about.
-  BW_CHECK_MSG(model.num_arms() == num_arms_,
-               "adopt_model: arm count mismatch (engine " + std::to_string(num_arms_) +
-                   ", model " + std::to_string(model.num_arms()) + ")");
-  BW_CHECK_MSG(model.feature_names() == feature_names_,
-               "adopt_model: feature names mismatch");
-  BW_CHECK_MSG(model.policy_kind() == config_.bandit.policy_kind,
-               "adopt_model: policy kind mismatch");
-  BW_CHECK_MSG(model.config().policy.fit.forgetting ==
-                   config_.bandit.policy.fit.forgetting,
-               "adopt_model: forgetting factor mismatch");
-  for (std::size_t i = 0; i < num_arms_; ++i) {
-    BW_CHECK_MSG(model.catalog()[i].name == catalog_[i].name,
-                 "adopt_model: catalog mismatch at arm " + std::to_string(i));
-  }
+  // A foreign model must fail loudly, not serve from a catalog the routing
+  // layer knows nothing about.
+  check_shape(model, "adopt_model");
   // Prepare every copy before taking any lock: copies can throw
   // (bad_alloc); the swap window below must not.
   std::vector<core::BanditWare> replicas;

@@ -307,13 +307,6 @@ class BanditServer {
   /// concurrent inline sync_shards()).
   bool sync_publish();
 
-  /// Fleet export hook: one consistent-cut copy of the engine's full
-  /// evidence — baseline + every shard's delta since the last sync, fused
-  /// with the same information-form algebra as sync_shards() but without
-  /// touching any shard (fuse lock + shard locks held shared). For a
-  /// 1-shard engine this is simply a copy of the shard model.
-  core::BanditWare fused_model() const;
-
   /// Fleet apply hook: atomically replaces every shard replica *and* the
   /// sync baseline with `model`, republishes every shard's read snapshot,
   /// and bumps the generation (abandoning any staged async round — its
@@ -321,9 +314,8 @@ class BanditServer {
   /// fleet node adopts the gossip-fused fleet-wide model: afterwards the
   /// engine serves from `model` and the shard-vs-baseline delta algebra
   /// restarts from it, so local evidence keeps accumulating on top without
-  /// double-counting. The model must match the engine's shape (catalog,
-  /// feature names, policy kind, forgetting factor); throws
-  /// InvalidArgument otherwise.
+  /// double-counting. The model must match the engine's shape (see
+  /// check_shape); throws InvalidArgument otherwise.
   void adopt_model(const core::BanditWare& model);
 
   /// R̂ per arm from one shard's replica (locks that shard).
@@ -406,11 +398,29 @@ class BanditServer {
     void clear();
   };
 
+  /// The restore path (and the public constructor's tail): the engine's
+  /// bandit config, catalog and feature names come from the first replica,
+  /// and every other replica and `sync_base` must match them (check_shape).
   BanditServer(BanditServerConfig config, std::vector<core::BanditWare> replicas,
                std::unique_ptr<core::BanditWare> sync_base = nullptr);
 
+  /// The one shape rule for a model this engine serves — every replica,
+  /// the sync baseline, an adopted model, and what a binary snapshot header
+  /// declares: the engine's catalog specs, feature names, policy kind, the
+  /// scalars that kind reads (ε₀ and decay, alpha, or the posterior scale),
+  /// tolerance and forgetting factor. Throws InvalidArgument naming `what`
+  /// and the first field that differs.
+  void check_shape(const hw::HardwareCatalog& catalog,
+                   const std::vector<std::string>& feature_names,
+                   const core::BanditWareConfig& config, const std::string& what) const;
+  void check_shape(const core::BanditWare& model, const std::string& what) const {
+    check_shape(model.catalog(), model.feature_names(), model.config(), what);
+  }
+
   std::size_t route(const core::FeatureVector& x);
   std::uint64_t next_rr_ticket();
+  /// An exploring decision under the shard's exclusive lock (it consumes
+  /// the shard RNG); greedy reads go through decide_frozen instead.
   ServeDecision decide_locked(Shard& shard, std::size_t shard_index,
                               const core::FeatureVector& x);
   ServeDecision decide_frozen(const core::FrozenModel& model, std::size_t shard_index,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "common/error.hpp"
@@ -212,6 +213,15 @@ TEST(LinUcb, ZeroAlphaIsGreedyOnMeans) {
   EXPECT_EQ(policy.select({1.0}, rng), 0u);
 }
 
+TEST(LinUcb, RejectsBadConfig) {
+  LinUcbConfig config;
+  for (const double bad : {-1.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    config.alpha = bad;
+    EXPECT_THROW(LinUcb(three_arms(), 1, config), InvalidArgument) << bad;
+  }
+}
+
 // ---- Thompson -------------------------------------------------------------------
 
 TEST(Thompson, ConvergesToBestArmOnCleanData) {
@@ -238,8 +248,11 @@ TEST(Thompson, SamplesSpreadWhenUncertain) {
 
 TEST(Thompson, RejectsBadConfig) {
   ThompsonConfig config;
-  config.posterior_scale = 0.0;
-  EXPECT_THROW(LinearThompson(three_arms(), 1, config), InvalidArgument);
+  for (const double bad : {0.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    config.posterior_scale = bad;
+    EXPECT_THROW(LinearThompson(three_arms(), 1, config), InvalidArgument) << bad;
+  }
 }
 
 // ---- non-contextual baselines -----------------------------------------------------

@@ -405,6 +405,14 @@ TEST(FleetWireProtocol, ConfigEnvelopeMismatchesAreRejected) {
   // Matching config applies cleanly.
   FleetNode twin = make_node(2, PolicyKind::kEpsilonGreedy, 0.98);
   EXPECT_GT(twin.apply_delta(sender.make_delta(2)).applied, 0u);
+  // The engine's own guard behind the envelope: adopt_model refuses a model
+  // whose LinUCB α differs from the engine's.
+  serve::BanditServer engine(hw::ndp_catalog(), feature_names(),
+                             server_config(PolicyKind::kLinUcb, 1.0));
+  core::BanditWareConfig wider = engine.config().bandit;
+  wider.alpha = 2.0 * wider.alpha;
+  EXPECT_THROW(engine.adopt_model(BanditWare(hw::ndp_catalog(), feature_names(), wider)),
+               InvalidArgument);
 }
 
 TEST(FleetWireProtocol, OwnEchoIsEntirelyStale) {

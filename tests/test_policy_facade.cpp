@@ -1,5 +1,5 @@
 // The policy-pluggable facade: BanditWareConfig::policy_kind must route
-// next()/recommend_decision()/observe() through the selected policy while
+// next()/recommend()/observe() through the selected policy while
 // the substrate (arm models, merge, sufficient statistics, snapshots,
 // serving) behaves identically across kinds. Pins the facade-vs-standalone
 // equivalence (the facade runs the *same* LinUCB/Thompson the evaluator
@@ -263,6 +263,19 @@ TEST(PolicyFacade, SyncedServingMatchesSingleStreamPerPolicy) {
   }
 }
 
+/// `text` (a banditserver-state snapshot) with the blob of `record`
+/// ("shard 1", "base") replaced by `blob`.
+std::string with_blob(std::string text, const std::string& record,
+                      const std::string& blob) {
+  const std::size_t at = text.find("\n" + record + " bytes ") + 1;
+  const std::size_t size_at = at + record.size() + std::string(" bytes ").size();
+  const std::size_t eol = text.find('\n', size_at);
+  const std::size_t old_size = std::stoul(text.substr(size_at, eol - size_at));
+  text.replace(at, eol + 1 + old_size - at,
+               record + " bytes " + std::to_string(blob.size()) + "\n" + blob);
+  return text;
+}
+
 TEST(PolicyFacade, StitchedServerPolicyHeaderIsRejected) {
   // A v4 header whose policy token contradicts the shard blobs means the
   // snapshot was assembled by hand; the loader must refuse it rather than
@@ -271,12 +284,34 @@ TEST(PolicyFacade, StitchedServerPolicyHeaderIsRejected) {
   config.num_shards = 2;
   config.sharding = serve::ShardingPolicy::kRoundRobin;
   config.bandit = config_for(core::PolicyKind::kLinUcb);
-  serve::BanditServer server(hw::ndp_catalog(), {"num_tasks"}, config);
+  serve::BanditServer server(hw::synthetic_cycles_catalog(), {"num_tasks"}, config);
   server.observe_one({0, 0, {50.0}, 9.0});
-  std::string text = server.save_state();
+  const std::string saved = server.save_state();
+  std::string text = saved;
   const std::string from = "policy linucb";
   text.replace(text.find(from), from.size(), "policy thompson");
   EXPECT_THROW(serve::BanditServer::load_state(text), ParseError);
+
+  // Blobs that disagree with the first shard (4 arms over num_tasks):
+  // shard 1 on a 3-arm catalog, a baseline on a foreign catalog, a
+  // baseline over other features. Each must fail at load, not at the
+  // first read or sync.
+  const auto foreign = [&config](hw::HardwareCatalog catalog,
+                                 std::vector<std::string> features) {
+    return core::BanditWare(std::move(catalog), std::move(features), config.bandit)
+        .save_state();
+  };
+  const std::string three_arms = foreign(hw::ndp_catalog(), {"num_tasks"});
+  EXPECT_THROW(serve::BanditServer::load_state(with_blob(saved, "shard 1", three_arms)),
+               ParseError);
+  EXPECT_THROW(serve::BanditServer::load_state(with_blob(saved, "base", three_arms)),
+               ParseError);
+  EXPECT_THROW(serve::BanditServer::load_state(with_blob(
+                   saved, "base", foreign(hw::synthetic_cycles_catalog(), {"mem_gb"}))),
+               ParseError);
+  // The splice itself is sound: a blob of the engine's own shape loads.
+  EXPECT_NO_THROW(serve::BanditServer::load_state(
+      with_blob(saved, "base", foreign(hw::synthetic_cycles_catalog(), {"num_tasks"}))));
 }
 
 TEST(PolicyFacade, LegacySnapshotsLoadAsEpsilonGreedy) {

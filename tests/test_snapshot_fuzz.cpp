@@ -346,6 +346,16 @@ TEST(SnapshotFuzz, HostileCountsFailWithoutAllocating) {
       "banditware-state v1\n"
       "epsilon0 1 decay 0.99 tol_ratio 0 tol_seconds 0\n"
       "epsilon 1\nfeatures 1 x\narms 1\narm H0 0 8 obs 1\n3 4\n",
+      // A negative tolerance would only throw at the first decision; the
+      // bank constructor rejects it at load.
+      "banditware-state v2\n"
+      "epsilon0 1 decay 0.99 tol_ratio -1 tol_seconds 0 exact_history 0\n"
+      "epsilon 1\nfeatures 1 x\narms 1\n"
+      "arm H0 1 8 0 stats 0\ntheta 0 0\nP 1 0\nP 0 1\nend\n",
+      "banditware-state v2\n"
+      "epsilon0 1 decay 0.99 tol_ratio 0 tol_seconds -1 exact_history 0\n"
+      "epsilon 1\nfeatures 1 x\narms 1\n"
+      "arm H0 1 8 0 stats 0\ntheta 0 0\nP 1 0\nP 0 1\nend\n",
       // Raw rows were only ever written for ε-greedy at λ = 1.
       "banditware-state v3\n"
       "policy linucb alpha 1\n"

@@ -122,16 +122,24 @@ std::vector<std::size_t> packet_ends(const std::string& blob) {
   return ends;
 }
 
+/// The config scalars a crafted binary header carries.
+struct CraftedScalars {
+  double alpha = 1.0;
+  double posterior_scale = 1.0;
+  double tol_ratio = 0.1;
+  double tol_seconds = 5.0;
+};
+
 /// The bandit-config section both binary header packets share.
 void put_crafted_config(std::string& payload, std::uint8_t policy_kind,
-                        std::uint8_t exact_history) {
+                        std::uint8_t exact_history, const CraftedScalars& scalars = {}) {
   io::put_u8(payload, policy_kind);
-  io::put_f64(payload, 1.0);   // alpha
-  io::put_f64(payload, 1.0);   // posterior_scale
+  io::put_f64(payload, scalars.alpha);
+  io::put_f64(payload, scalars.posterior_scale);
   io::put_f64(payload, 1.0);   // initial_epsilon
   io::put_f64(payload, 0.99);  // decay
-  io::put_f64(payload, 0.1);   // tolerance ratio
-  io::put_f64(payload, 5.0);   // tolerance seconds
+  io::put_f64(payload, scalars.tol_ratio);
+  io::put_f64(payload, scalars.tol_seconds);
   io::put_u8(payload, exact_history);
 }
 
@@ -140,9 +148,10 @@ void put_crafted_config(std::string& payload, std::uint8_t policy_kind,
 /// epsilon prefix — i.e. the feature-name and catalog sections).
 std::string crafted_bandit_container(const std::string& header_tail,
                                      std::uint8_t policy_kind = 0,
-                                     std::uint8_t exact_history = 0) {
+                                     std::uint8_t exact_history = 0,
+                                     const CraftedScalars& scalars = {}) {
   std::string payload;
-  put_crafted_config(payload, policy_kind, exact_history);
+  put_crafted_config(payload, policy_kind, exact_history, scalars);
   io::put_f64(payload, 1.0);  // live epsilon
   payload += header_tail;
   std::ostringstream os(std::ios::binary);
@@ -590,6 +599,19 @@ TEST(StateIo, HostileBinaryCountsFailWithoutAllocating) {
     // the legacy exact_history flag is corrupt.
     cases.push_back(crafted_bandit_container(one_arm_tail(1), /*policy_kind=*/1,
                                              /*exact_history=*/1));
+    // Scalars the policy and bank constructors reject: an infinite LinUCB
+    // α or Thompson v, a negative or NaN tolerance.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    cases.push_back(crafted_bandit_container(one_arm_tail(1), 1, 0, {.alpha = kInf}));
+    cases.push_back(
+        crafted_bandit_container(one_arm_tail(1), 2, 0, {.posterior_scale = kInf}));
+    for (const double bad : {-1.0, kNaN}) {
+      cases.push_back(
+          crafted_bandit_container(one_arm_tail(1), 0, 0, {.tol_ratio = bad}));
+      cases.push_back(
+          crafted_bandit_container(one_arm_tail(1), 0, 0, {.tol_seconds = bad}));
+    }
     return cases;
   }();
   for (std::size_t i = 0; i < hostile.size(); ++i) {
@@ -614,6 +636,31 @@ TEST(StateIo, HostileBinaryCountsFailWithoutAllocating) {
     io::write_container_magic(os, io::PayloadKind::kBanditServerState);
     io::write_packet(os, 0x10, header);
     EXPECT_THROW(load_server(os.str()), ParseError);
+  }
+
+  // A server whose sync baseline disagrees with its shards — a foreign
+  // catalog, foreign feature names — fails at load, not at the first sync.
+  {
+    const serve::BanditServer server = trained_server();
+    const std::string binary = save_as(server, io::Format::kBinary);
+    // preamble, header, shard 0, shard 1, base, end
+    const std::vector<std::size_t> ends = packet_ends(binary);
+    ASSERT_EQ(ends.size(), 6u);
+    const auto with_base = [&](hw::HardwareCatalog catalog,
+                               std::vector<std::string> features) {
+      const core::BanditWare base(std::move(catalog), std::move(features),
+                                  server.config().bandit);
+      std::ostringstream os(std::ios::binary);
+      os << binary.substr(0, ends[3]);
+      io::write_packet(os, 0x12, save_as(base, io::Format::kBinary));
+      os << binary.substr(ends[4]);
+      return os.str();
+    };
+    EXPECT_THROW(load_server(with_base(hw::synthetic_cycles_catalog(), {"num_tasks"})),
+                 ParseError);
+    EXPECT_THROW(load_server(with_base(hw::ndp_catalog(), {"mem_req"})), ParseError);
+    // The splice itself is sound: a baseline of the engine's own shape loads.
+    EXPECT_NO_THROW(load_server(with_base(hw::ndp_catalog(), {"num_tasks"})));
   }
 
   // A frame whose length field exceeds the packet cap reads as corruption

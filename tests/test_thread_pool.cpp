@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace bw {
@@ -69,6 +71,21 @@ TEST(ThreadPool, ParallelForRethrowsWorkerException) {
                                    if (i == 7) throw std::runtime_error("bad index");
                                  }),
                std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForRethrowsOnlyAfterEveryBlockFinished) {
+  // Block 0 throws at once while block 1 is still sleeping. The exception
+  // must not reach the caller before block 1 is done: unwinding would
+  // destroy the fn (and whatever it captures) that block 1 still calls.
+  ThreadPool pool(2);
+  std::atomic<bool> slow_block_done{false};
+  const auto block = [&slow_block_done](std::size_t i) {
+    if (i == 0) throw std::runtime_error("fast failure");
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    slow_block_done.store(true);
+  };
+  EXPECT_THROW(pool.parallel_for(0, 2, block), std::runtime_error);
+  EXPECT_TRUE(slow_block_done.load());
 }
 
 TEST(ThreadPool, SingleWorkerStillCorrect) {
