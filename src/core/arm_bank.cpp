@@ -32,12 +32,9 @@ ArmBank::ArmBank(const hw::HardwareCatalog& catalog, std::size_t num_features,
 void ArmBank::fill_plane_column(ArmIndex arm) {
   // Transposed plane (see gemm.hpp): one arm is a strided column. Writes
   // are per-observation; reads are the hot path and stream unit-stride.
-  const linalg::LinearModel& model = arms_[arm].model();
+  const linalg::Vector& theta = arms_[arm].rls().theta();
   const std::size_t stride = arms_.size();
-  for (std::size_t i = 0; i < dim_; ++i) {
-    theta_plane_[i * stride + arm] = model.weights[i];
-  }
-  theta_plane_[dim_ * stride + arm] = model.bias;
+  for (std::size_t i = 0; i <= dim_; ++i) theta_plane_[i * stride + arm] = theta[i];
 }
 
 void ArmBank::observe(ArmIndex arm, const FeatureVector& x, double runtime_s) {
@@ -46,10 +43,9 @@ void ArmBank::observe(ArmIndex arm, const FeatureVector& x, double runtime_s) {
   fill_plane_column(arm);
 }
 
-void ArmBank::restore_arm(ArmIndex arm, const linalg::Matrix& p,
-                          const linalg::Vector& theta, std::size_t n) {
+void ArmBank::restore_arm(ArmIndex arm, const ArmStats& stats) {
   BW_CHECK_MSG(arm < arms_.size(), "arm index out of range");
-  arms_[arm].restore_stats(p, theta, n);
+  arms_[arm].restore_stats(stats);
   fill_plane_column(arm);
 }
 
@@ -98,18 +94,11 @@ void ArmBank::variance_proxy_all(const FeatureVector& x,
   BW_CHECK_MSG(out.size() == arms_.size(),
                "variance_proxy_all: output size mismatch");
   static thread_local std::vector<double> xa;
-  static thread_local std::vector<double> px;
+  static thread_local std::vector<double> scratch;
   linalg::with_intercept_into(x, xa);
-  px.resize(dim_ + 1);
   for (ArmIndex arm = 0; arm < arms_.size(); ++arm) {
-    // Same value sequence as RLS::variance_proxy — dot(xa, P xa) with P xa
-    // computed row-by-row via linalg::dot — minus its two per-call Vector
-    // allocations.
-    const linalg::Matrix& p = arms_[arm].rls().precision_inverse();
-    for (std::size_t i = 0; i < dim_ + 1; ++i) {
-      px[i] = linalg::dot(p.row(i), xa);
-    }
-    out[arm] = linalg::dot(xa, px);
+    // RLS::variance_proxy's own solve, minus its per-call allocations.
+    out[arm] = arms_[arm].rls().variance_proxy_aug(xa, scratch);
   }
 }
 

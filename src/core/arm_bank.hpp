@@ -3,7 +3,7 @@
 // sits on. ε-greedy, LinUCB, and linear-Gaussian Thompson sampling all keep
 // one LinearArmModel per hardware arm, predict with the same tolerant-greedy
 // pass over the same resource-cost ordering, and fuse/serialize the same
-// information-form sufficient statistics. Before this layer each policy
+// square-root information evidence (R, z, n). Before this layer each policy
 // re-implemented that loop; now the policies differ only in how they pick an
 // arm during exploration (ε-coin, LCB optimism, posterior draw).
 //
@@ -47,10 +47,9 @@ class ArmBank {
   /// that arm's theta-plane column.
   void observe(ArmIndex arm, const FeatureVector& x, double runtime_s);
 
-  /// Reinstates saved sufficient statistics on one arm (snapshot restore,
+  /// Reinstates saved evidence on one arm (snapshot restore,
   /// BanditWare::from_stats) and refreshes its column.
-  void restore_arm(ArmIndex arm, const linalg::Matrix& p, const linalg::Vector& theta,
-                   std::size_t n);
+  void restore_arm(ArmIndex arm, const ArmStats& stats);
 
   /// Folds another arm's evidence into one arm (LinearArmModel::merge,
   /// `base` the common ancestor or null) and refreshes its column.
@@ -63,7 +62,7 @@ class ArmBank {
   /// Current estimate R̂(H_arm, x).
   double predict(ArmIndex arm, const FeatureVector& x) const;
 
-  /// x̃^T P_arm x̃ — the posterior-width quadratic form LinUCB's confidence
+  /// x̃ᵀA_arm⁻¹x̃ — the posterior-width quadratic form LinUCB's confidence
   /// bound and Thompson's posterior draw share.
   double variance_proxy(ArmIndex arm, const FeatureVector& x) const;
 
@@ -72,8 +71,8 @@ class ArmBank {
   void predict_all(const FeatureVector& x, std::span<double> out) const;
   std::vector<double> predict_all(const FeatureVector& x) const;
 
-  /// x̃^T P_arm x̃ for every arm with the intercept augmentation and the
-  /// P x̃ scratch hoisted out of the loop — bitwise equal to calling
+  /// x̃ᵀA_arm⁻¹x̃ for every arm with the intercept augmentation and the
+  /// solve scratch hoisted out of the loop — bitwise equal to calling
   /// variance_proxy per arm. `out` must have size() entries.
   void variance_proxy_all(const FeatureVector& x, std::span<double> out) const;
 

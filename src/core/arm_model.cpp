@@ -8,13 +8,10 @@ namespace bw::core {
 
 namespace {
 
-/// The ridge prior mirrors a batch fit: an explicit fit.ridge wins,
-/// otherwise the rank-deficiency fallback ridge (which is what the batch
-/// fit applies on every underdetermined system).
+/// The prior ridge: fit.ridge, with 0 meaning the 1e-8 default. Anything
+/// else the RLS constructor range-checks.
 double rls_prior_ridge(const linalg::FitOptions& fit) {
-  if (fit.ridge > 0.0) return fit.ridge;
-  if (fit.fallback_ridge > 0.0) return fit.fallback_ridge;
-  return 1e-8;
+  return fit.ridge == 0.0 ? 1e-8 : fit.ridge;
 }
 
 }  // namespace
@@ -25,49 +22,37 @@ LinearArmModel::LinearArmModel(std::size_t dim, const linalg::FitOptions& fit)
   BW_CHECK_MSG(fit.intercept,
                "arm model: fit.intercept = false is not supported (the recursive "
                "update always fits the intercept b)");
-  reset();
 }
 
-void LinearArmModel::reset() {
-  rls_.reset();
-  model_.weights.assign(dim_, 0.0);  // paper init: w_i = 0, b_i = 0
-  model_.bias = 0.0;
-  model_.n_observations = 0;
-}
+void LinearArmModel::reset() { rls_.reset(); }  // paper init: w_i = 0, b_i = 0
 
 void LinearArmModel::observe(std::span<const double> x, double runtime_s) {
-  BW_CHECK_MSG(x.size() == dim_, "arm model: feature size mismatch");
-  BW_CHECK_MSG(linalg::all_finite(x), "arm model: non-finite feature");
+  // The RLS checks x's size and finiteness; the runtime is this model's.
   BW_CHECK_MSG(std::isfinite(runtime_s), "arm model: non-finite runtime");
   rls_.update(x, runtime_s);
-  sync_from_rls();
-}
-
-void LinearArmModel::sync_from_rls() {
-  const linalg::Vector& theta = rls_.theta();
-  model_.weights.assign(theta.begin(), theta.end() - 1);
-  model_.bias = theta.back();
-  model_.n_observations = rls_.n_observations();
 }
 
 void LinearArmModel::merge(const LinearArmModel& other, const LinearArmModel* base) {
   rls_.merge(other.rls_, base != nullptr ? &base->rls_ : nullptr);
-  sync_from_rls();
 }
 
-void LinearArmModel::restore_stats(const linalg::Matrix& p,
-                                   const linalg::Vector& theta, std::size_t n) {
-  rls_.restore(p, theta, n);
-  sync_from_rls();
+void LinearArmModel::restore_stats(const ArmStats& stats) {
+  rls_.restore(stats.r, stats.z, stats.n);
 }
 
 ArmStats LinearArmModel::export_stats() const {
-  return ArmStats{rls_.precision_inverse(), rls_.theta(), rls_.n_observations()};
+  return ArmStats{rls_.r(), rls_.z(), rls_.n_observations()};
 }
 
 double LinearArmModel::predict(std::span<const double> x) const {
   BW_CHECK_MSG(x.size() == dim_, "arm model: feature size mismatch");
-  return model_.predict(x);
+  return rls_.predict(x);
+}
+
+linalg::LinearModel LinearArmModel::model() const {
+  const linalg::Vector& theta = rls_.theta();
+  return linalg::LinearModel{linalg::Vector(theta.begin(), theta.end() - 1), theta.back(),
+                             rls_.n_observations()};
 }
 
 double LinearArmModel::variance_proxy(std::span<const double> x) const {

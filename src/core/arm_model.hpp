@@ -5,11 +5,10 @@
 // (Alg. 1 lines 1-2, 10-11).
 //
 // Alg. 1 line 11 refits the arm by least squares after every observation.
-// The model computes that ridge solution incrementally with a Sherman–
-// Morrison recursive least-squares update (linalg/rls): O(d^2) per
+// The model computes that ridge solution incrementally with a square-root
+// information recursive least-squares update (linalg/rls): O(d^2) per
 // observe(), no per-row history kept. The prior ridge is fit.ridge, or
-// fit.fallback_ridge when ridge is 0 — the ridge a batch fit applies to
-// underdetermined systems. tests/test_incremental_equivalence.cpp checks
+// 1e-8 when fit.ridge is 0. tests/test_incremental_equivalence.cpp checks
 // it against a per-observation batch refit (linalg::fit_linear).
 
 #include <span>
@@ -20,14 +19,14 @@
 
 namespace bw::core {
 
-/// Compact copy of an arm's sufficient statistics (theta, P, n). This is
-/// the in-memory analogue of a banditware-state v2 stats record: O(d^2) to
-/// take, no text round-trip. The async cross-shard sync pipeline stages
-/// these under brief shared locks and fuses them off the hot path.
+/// Compact copy of an arm's evidence (R, z, n) — the in-memory analogue of
+/// a snapshot's stats record: O(d^2) to take, no text round-trip. The async
+/// cross-shard sync pipeline stages these under brief shared locks and
+/// fuses them off the hot path; fleet gossip ships them per origin.
 struct ArmStats {
-  linalg::Matrix p;      ///< (X^T X + ridge I)^{-1}, intercept-augmented
-  linalg::Vector theta;  ///< [w; b]
-  std::size_t n = 0;     ///< observations absorbed
+  linalg::Vector r;   ///< R's upper triangle packed row-major (RᵀR = A)
+  linalg::Vector z;   ///< R⁻ᵀ b
+  std::size_t n = 0;  ///< observations absorbed
 };
 
 class LinearArmModel {
@@ -44,26 +43,27 @@ class LinearArmModel {
   /// O(d^2).
   void observe(std::span<const double> x, double runtime_s);
 
-  /// Current prediction ŵ^T x + b̂; 0 before any observation (w=b=0 init).
-  /// Reads only immutable-between-observes state, so concurrent predict()
-  /// calls are safe as long as no observe() runs (read-mostly serving).
+  /// Current prediction ŵ^T x + b̂ (w·x summed from 0.0, then + b, the
+  /// order LinearModel::predict uses); 0 before any observation. Reads
+  /// only immutable-between-observes state and allocates nothing, so
+  /// concurrent predict() calls are safe as long as no observe() runs.
   double predict(std::span<const double> x) const;
 
-  /// Posterior-width quadratic form x̃^T P x̃ (intercept-augmented) — what
-  /// LinUCB's confidence bound and Thompson's posterior draw both consume.
+  /// Posterior-width quadratic form x̃ᵀA⁻¹x̃ = ‖R⁻ᵀx̃‖² (intercept-augmented)
+  /// — what LinUCB's confidence bound and Thompson's posterior draw consume.
   double variance_proxy(std::span<const double> x) const;
 
-  const linalg::LinearModel& model() const { return model_; }
+  /// The fitted (w, b, n) as a standalone LinearModel, for inspection.
+  linalg::LinearModel model() const;
 
-  /// Sufficient statistics (P, theta, n) — the banditware-state v2 payload.
+  /// The evidence (R, z, n) and the θ derived from it.
   const linalg::RecursiveLeastSquares& rls() const { return rls_; }
 
-  /// Reinstates saved sufficient statistics. Throws InvalidArgument on
-  /// shape mismatch or non-finite entries.
-  void restore_stats(const linalg::Matrix& p, const linalg::Vector& theta,
-                     std::size_t n);
+  /// Reinstates saved evidence. Throws InvalidArgument unless it is valid
+  /// for this model's shape (RLS::valid_evidence).
+  void restore_stats(const ArmStats& stats);
 
-  /// Copies out the sufficient statistics — O(d^2), no text serialization.
+  /// Copies out the evidence — O(d^2), no text serialization.
   ArmStats export_stats() const;
 
   /// Folds another arm's evidence into this one by fusing sufficient
@@ -77,11 +77,8 @@ class LinearArmModel {
   void reset();
 
  private:
-  void sync_from_rls();
-
   std::size_t dim_;
   linalg::RecursiveLeastSquares rls_;
-  linalg::LinearModel model_;  ///< always reflects the latest update
 };
 
 }  // namespace bw::core

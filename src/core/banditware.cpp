@@ -113,9 +113,8 @@ void BanditWare::merge_from(const BanditWare& other, const BanditWare* base) {
                    ") — cross-policy fusion is undefined");
   const auto& mine = config_.policy;
   const auto& theirs = other.config_.policy;
-  BW_CHECK_MSG(mine.fit.ridge == theirs.fit.ridge &&
-                   mine.fit.fallback_ridge == theirs.fit.fallback_ridge,
-               "merge_from: fit options mismatch — fusion would not be exact");
+  BW_CHECK_MSG(mine.fit.ridge == theirs.fit.ridge,
+               "merge_from: ridge prior mismatch — fusion would not be exact");
   BW_CHECK_MSG(mine.fit.forgetting == theirs.fit.forgetting,
                "merge_from: forgetting factor mismatch — fusion would not be exact");
   switch (config_.policy_kind) {
@@ -206,8 +205,7 @@ BanditWare BanditWare::from_stats(const hw::HardwareCatalog& catalog,
                "from_stats: arm count does not match the catalog");
   BanditWare restored(catalog, feature_names, config);
   for (ArmIndex arm = 0; arm < restored.num_arms(); ++arm) {
-    const ArmStats& s = stats.arms[arm];
-    restored.banked().bank().restore_arm(arm, s.p, s.theta, s.n);
+    restored.banked().bank().restore_arm(arm, stats.arms[arm]);
   }
   if (auto* eps = restored.eps_greedy()) eps->set_epsilon(stats.epsilon);
   return restored;
@@ -241,7 +239,7 @@ std::string BanditWare::save_state() const {
 }
 
 BanditWare BanditWare::load_state(const std::string& text) {
-  // Thin wrapper over io::load_state, which auto-detects text v1-v4 and
+  // Thin wrapper over io::load_state, which auto-detects text v1-v5 and
   // the binary container from the leading bytes.
   std::istringstream is(text, std::ios::binary);
   return io::load_state(is);

@@ -51,11 +51,12 @@ struct BanditWareConfig {
   double posterior_scale = 1.0;  ///< Thompson sampling v (kThompson only)
 };
 
-/// Compact copy of a whole instance's learned state: per-arm sufficient
-/// statistics plus the exploration rate. O(arms * d^2) to take — no text
+/// Compact copy of a whole instance's learned state: per-arm evidence
+/// (R, z, n) plus the exploration rate. O(arms * d^2) to take — no text
 /// serialization, no catalog copy. The serve layer's async cross-shard
 /// sync stages these under brief shared locks and runs the fusion math
-/// (Cholesky recovery, baseline subtraction) entirely off the hot path.
+/// (summed information, baseline subtraction, one factorization per arm)
+/// entirely off the hot path.
 struct BanditWareStats {
   double epsilon = 1.0;  ///< ε-greedy exploration state (0 for other kinds)
   std::vector<ArmStats> arms;  ///< indexed like the catalog
@@ -94,23 +95,23 @@ class BanditWare {
   void observe(ArmIndex arm, const FeatureVector& x, double runtime_s);
 
   /// Folds another instance's learned state into this one by fusing per-arm
-  /// sufficient statistics (exact under the shared ridge prior — merging
+  /// evidence (exact under the shared ridge prior — merging
   /// two independently trained instances reproduces the single-stream
   /// result; see tests/test_merge_equivalence.cpp). Arms are matched by
   /// hardware name; arms only `other` knows are appended (union of arms).
   /// Both instances must run the same policy kind with matching policy
   /// scalars (ε schedule for ε-greedy, alpha for LinUCB, posterior scale
   /// for Thompson) — all three kinds sit on the same information-form
-  /// statistics, so the arm algebra is shared, but cross-policy fusion is
+  /// evidence, so the arm algebra is shared, but cross-policy fusion is
   /// rejected. ε is combined multiplicatively (ε_merged = ε_self · ε_other
   /// / ε₀), matching one decay per absorbed observation. Pass the common
   /// ancestor both instances grew from as `base` (replica sync) so shared
-  /// evidence is counted once. Requires matching feature names, fit
-  /// options, and policy; throws InvalidArgument otherwise.
+  /// evidence is counted once. Requires matching feature names, ridge prior,
+  /// forgetting factor and policy; throws InvalidArgument otherwise.
   void merge_from(const BanditWare& other, const BanditWare* base = nullptr);
 
-  /// Copies out the learned state as sufficient statistics — O(arms * d^2),
-  /// no text snapshot.
+  /// Copies out the learned state as per-arm evidence — O(arms * d^2), no
+  /// text snapshot.
   BanditWareStats export_stats() const;
 
   /// Rebuilds an instance from export_stats() output plus the immutable
@@ -155,25 +156,22 @@ class BanditWare {
   /// arm_model()/epsilon() instead). Throws InvalidArgument otherwise.
   const DecayingEpsilonGreedy& policy() const;
 
-  /// Plain-text state snapshot: config + catalog + per-arm sufficient
-  /// statistics (theta, P, n) + ε. Cost is O(arms * d^2) independent of how
-  /// many observations were absorbed. ε-greedy instances write format
-  /// `banditware-state v2` — byte-identical to the pre-policy-axis writer,
-  /// so existing snapshots and golden fixtures stay stable — while
-  /// LinUCB/Thompson instances write the `v3` superset, which adds one
-  /// `policy` line carrying the kind token and its scalar.
+  /// Plain-text state snapshot: config (λ, ridge, policy, schedule) +
+  /// catalog + per-arm evidence (R, z, n) + ε. Cost is O(arms * d^2)
+  /// independent of how many observations were absorbed. Every instance
+  /// writes format `banditware-state v5`; older versions are load-only.
   ///
   /// Back-compat convenience over the io layer: equivalent to
   /// `io::save_state(os, *this, io::Format::kText)`. The binary format
   /// (and format auto-detection) lives in src/io/state_io.hpp.
   std::string save_state() const;
 
-  /// Rebuilds an instance from a serialized snapshot, any format: text v4
-  /// (lambda line), v3 (policy token), v2, legacy v1 (raw observation rows,
-  /// restored by replay; v1/v2 always load as ε-greedy), or the binary
-  /// container —
-  /// a thin wrapper over `io::load_state`, which auto-detects from the
-  /// leading bytes. Throws ParseError on malformed input.
+  /// Rebuilds an instance from a serialized snapshot, any format: text v5
+  /// (evidence records), the legacy (θ, P) bodies v2-v4 (converted once by
+  /// the RLS), legacy v1 (raw observation rows, restored by replay; v1/v2
+  /// always load as ε-greedy), or the binary container — a thin wrapper
+  /// over `io::load_state`, which auto-detects from the leading bytes.
+  /// Throws ParseError on malformed input.
   static BanditWare load_state(const std::string& text);
 
  private:

@@ -13,7 +13,7 @@ namespace bw::core {
 
 struct LinUcbConfig {
   double alpha = 1.0;          ///< exploration width multiplier
-  double ridge = 1e-3;         ///< RLS prior precision
+  double ridge = 1e-3;         ///< RLS prior information ridge * I
   ToleranceParams tolerance{}; ///< applied to greedy recommend()
   hw::ResourceWeights resource_weights{};
 };

@@ -16,7 +16,7 @@ namespace bw::core {
 /// The production-stack policy axis: which learning strategy the BanditWare
 /// facade (and everything above it — merge, snapshots, serving) runs. All
 /// three share the same per-arm ridge-RLS substrate (core/arm_bank.hpp), so
-/// they fuse and serialize through the same sufficient statistics.
+/// they fuse and serialize through the same evidence (R, z, n).
 enum class PolicyKind {
   kEpsilonGreedy,  ///< the paper's decaying contextual ε-greedy (default)
   kLinUcb,         ///< deterministic LCB optimism, width scaled by alpha

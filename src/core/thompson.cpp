@@ -32,8 +32,9 @@ LinearThompson::LinearThompson(ArmBank bank, double posterior_scale)
 
 ArmIndex LinearThompson::select(const FeatureVector& x, Rng& rng) {
   // For a single decision only the marginal of x̃^T θ matters, and
-  // θ ~ N(θ̂, v² P) implies x̃^T θ ~ N(x̃^T θ̂, v² x̃^T P x̃) — so we sample
-  // the scalar directly instead of factorizing P. Means and variances come
+  // θ ~ N(θ̂, v² A⁻¹) implies x̃^T θ ~ N(x̃^T θ̂, v² x̃^T A⁻¹ x̃) — so we
+  // sample the scalar directly; x̃^T A⁻¹ x̃ = ‖R⁻ᵀx̃‖² is one triangular
+  // solve per arm. Means and variances come
   // from one bank-level sweep; the draw itself still consumes exactly one
   // rng.normal() per arm in ascending order, so the sampled decisions match
   // the old per-arm walk stream-for-stream and bit-for-bit.

@@ -12,8 +12,8 @@ namespace bw::fleet {
 
 namespace {
 
-io::FleetWireConfig wire_config_of(const serve::BanditServer& server,
-                                   const core::BanditWareConfig& bandit) {
+io::FleetWireConfig wire_config_of(const serve::BanditServer& server) {
+  const core::BanditWareConfig& bandit = server.config().bandit;
   io::FleetWireConfig wire;
   wire.policy = bandit.policy_kind;
   wire.alpha = bandit.alpha;
@@ -33,17 +33,16 @@ FleetNode::FleetNode(hw::HardwareCatalog catalog,
                      std::vector<std::string> feature_names, FleetNodeConfig config)
     : FleetNode(serve::BanditServer(std::move(catalog), std::move(feature_names),
                                     config.server),
-                config.server.bandit, config.node_id, 1) {}
+                config.node_id, 1) {}
 
-FleetNode::FleetNode(serve::BanditServer server, core::BanditWareConfig bandit_config,
-                     std::uint32_t node_id, std::uint32_t incarnation)
+FleetNode::FleetNode(serve::BanditServer server, std::uint32_t node_id,
+                     std::uint32_t incarnation)
     : node_id_(node_id),
       incarnation_(incarnation),
       server_(std::move(server)),
-      bandit_config_(std::move(bandit_config)),
-      learner_(server_.feature_names().size(), bandit_config_.policy.fit),
+      wire_config_(wire_config_of(server_)),
+      learner_(server_.feature_names().size(), server_.config().bandit.policy.fit),
       dirty_(server_.catalog().size(), true) {
-  wire_config_ = wire_config_of(server_, bandit_config_);
   prior_arms_.assign(server_.catalog().size(), learner_.export_stats());
   origins_.emplace(self_origin(), prior_arms_);
   fused_.arms = prior_arms_;
@@ -64,7 +63,7 @@ void FleetNode::observe_batch(
   std::vector<core::ArmStats>& slots = origins_.at(self_origin());
   for (const auto& obs : observations) {
     core::ArmStats& slot = slots[obs.arm];
-    learner_.restore_stats(slot.p, slot.theta, slot.n);
+    learner_.restore_stats(slot);
     learner_.observe(obs.x, obs.runtime_s);
     slot = learner_.export_stats();
     dirty_[obs.arm] = true;
@@ -168,10 +167,8 @@ std::pair<std::size_t, std::size_t> FleetNode::fold_origin(
       throw ParseError("fleet: arm index out of range in origin block");
     }
     core::ArmStats& slot = slots[entry.arm];
-    if (entry.stats.theta.size() != slot.theta.size() ||
-        entry.stats.p.rows() != slot.p.rows() ||
-        entry.stats.p.cols() != slot.p.cols()) {
-      throw ParseError("fleet: statistics shape mismatch in origin block");
+    if (entry.stats.r.size() != slot.r.size() || entry.stats.z.size() != slot.z.size()) {
+      throw ParseError("fleet: evidence shape mismatch in origin block");
     }
     // Replace-if-larger-n: a single-writer stream's statistics at count n
     // extend the statistics at any smaller count, so the larger entry is a
@@ -191,32 +188,33 @@ core::ArmStats FleetNode::fold_arm(std::size_t arm) const {
   // No base: each origin slot carries the shared ridge prior once, and the
   // merge keeps exactly one copy — the fold over origins in ascending key
   // order is the canonical single-learner concatenation.
-  const linalg::FitOptions& fit = bandit_config_.policy.fit;
+  const linalg::FitOptions& fit = server_.config().bandit.policy.fit;
   core::LinearArmModel fused(learner_.dim(), fit);
   core::LinearArmModel origin(learner_.dim(), fit);
   for (const auto& [key, arms] : origins_) {
     const core::ArmStats& slot = arms[arm];
     if (slot.n == 0) continue;
-    origin.restore_stats(slot.p, slot.theta, slot.n);
+    origin.restore_stats(slot);
     fused.merge(origin);
   }
   return fused.export_stats();
 }
 
 double FleetNode::fold_epsilon() const {
-  if (bandit_config_.policy_kind != core::PolicyKind::kEpsilonGreedy) return 0.0;
+  const core::BanditWareConfig& config = server_.config().bandit;
+  if (config.policy_kind != core::PolicyKind::kEpsilonGreedy) return 0.0;
   // ε decays once per observation, so an origin's exploration state is
   // fully determined by its count — deriving it keeps the wire format free
   // of redundant (and potentially contradictory) scalars. The chain is
   // merge_from's: ε_fused · ε_origin / ε₀, clamped to [0, 1] at each step.
-  const double initial = bandit_config_.policy.initial_epsilon;
+  const double initial = config.policy.initial_epsilon;
   double epsilon = initial;
   for (const auto& [key, arms] : origins_) {
     std::size_t n = 0;
     for (const auto& slot : arms) n += slot.n;
     if (n == 0) continue;
     const double origin = std::clamp(
-        initial * std::pow(bandit_config_.policy.decay, static_cast<double>(n)), 0.0,
+        initial * std::pow(config.policy.decay, static_cast<double>(n)), 0.0,
         1.0);
     epsilon = std::clamp(initial > 0.0 ? epsilon * origin / initial : 0.0, 0.0, 1.0);
   }
@@ -231,7 +229,7 @@ core::BanditWare FleetNode::fused_model() const {
     stats.arms.push_back(fold_arm(arm));
   }
   return core::BanditWare::from_stats(server_.catalog(), server_.feature_names(),
-                                      bandit_config_, stats);
+                                      server_.config().bandit, stats);
 }
 
 void FleetNode::rebuild_from_origins() {
@@ -240,7 +238,7 @@ void FleetNode::rebuild_from_origins() {
   }
   fused_.epsilon = fold_epsilon();
   server_.adopt_model(core::BanditWare::from_stats(
-      server_.catalog(), server_.feature_names(), bandit_config_, fused_));
+      server_.catalog(), server_.feature_names(), server_.config().bandit, fused_));
   std::fill(dirty_.begin(), dirty_.end(), false);
 }
 
@@ -288,21 +286,24 @@ std::string FleetNode::save_snapshot() const {
 FleetNode FleetNode::restore(const std::string& bytes) {
   const io::FleetNodeState state = io::load_fleet_node(bytes);
   std::istringstream blob(state.server_blob);
-  serve::BanditServer server = io::load_server_state(blob);
-  // The engine snapshot intentionally drops non-default fit options; the
-  // ridge prior is the one whose loss would silently corrupt the fusion
-  // algebra (the merge subtracts exactly one prior copy), so the fleet
-  // envelope persists it and restore re-applies it here. Every other
-  // envelope field round-trips through the engine blob and is verified
-  // against the envelope below.
-  core::BanditWareConfig bandit_config = server.config().bandit;
-  bandit_config.policy.fit.ridge = state.config.ridge;
+  serve::BanditServer loaded = io::load_server_state(blob);
+  // A wire-v1 engine blob predates persisted ridges; the envelope holds the
+  // ridge. rebuild_from_origins below replaces every shard and the sync
+  // baseline with the fold, so a fresh engine with that ridge loses only
+  // the blob's routing and cadence counters.
+  serve::BanditServer server = [&] {
+    if (!state.legacy_engine) return std::move(loaded);
+    serve::BanditServerConfig config = loaded.config();
+    config.bandit.policy.fit.ridge = state.config.ridge;
+    return serve::BanditServer(loaded.catalog(), loaded.feature_names(), config);
+  }();
   // Restarting closes the old origin stream: the node re-enters the fleet
   // under incarnation + 1 and appends to a fresh stream, so the pre-crash
   // prefix (restored below, possibly extended later by peers that held
-  // more of it) can never be confused with post-restart evidence.
-  FleetNode node(std::move(server), std::move(bandit_config), state.node,
-                 state.incarnation + 1);
+  // more of it) can never be confused with post-restart evidence. Every
+  // envelope field, the ridge included, round-trips through the engine
+  // blob and is verified against the envelope below.
+  FleetNode node(std::move(server), state.node, state.incarnation + 1);
   if (!(node.wire_config_ == state.config)) {
     throw ParseError(
         "fleet: snapshot config envelope does not match the embedded engine");

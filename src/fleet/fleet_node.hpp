@@ -4,8 +4,8 @@
 //
 // The unit of replication is the *origin stream*: every observation belongs
 // to the (node, incarnation) that absorbed it, and each node keeps, per
-// origin, the cumulative per-arm sufficient statistics (P, θ, n) of that
-// origin's stream prefix it has seen. Because a stream is appended by
+// origin, the cumulative per-arm evidence (R, z, n) of that origin's
+// stream prefix it has seen. Because a stream is appended by
 // exactly one writer, the statistics at count n extend the statistics at
 // any smaller count — so state exchange needs no increments, acks, or
 // ordering: a gossip message carries cumulative entries and the receiver
@@ -142,8 +142,8 @@ class FleetNode {
   static FleetNode restore(const std::string& bytes);
 
  private:
-  FleetNode(serve::BanditServer server, core::BanditWareConfig bandit_config,
-            std::uint32_t node_id, std::uint32_t incarnation);
+  FleetNode(serve::BanditServer server, std::uint32_t node_id,
+            std::uint32_t incarnation);
 
   /// Folds `entries` (cumulative statistics) into the store under
   /// replace-if-larger-n and marks each arm whose slot advanced. Returns
@@ -162,13 +162,9 @@ class FleetNode {
 
   std::uint32_t node_id_ = 0;
   std::uint32_t incarnation_ = 1;
+  /// The engine; its bandit config is the learner config for origin models
+  /// and the canonical fold.
   serve::BanditServer server_;
-  /// Authoritative learner config for origin models and the canonical
-  /// fold. Normally identical to the engine's; after restore() it re-adds
-  /// what the engine snapshot intentionally drops (the ridge prior — a
-  /// non-default fit option) from the fleet envelope, which does persist
-  /// it because the fusion algebra depends on it.
-  core::BanditWareConfig bandit_config_;
   /// The config envelope this node stamps on and demands from every message.
   io::FleetWireConfig wire_config_;
   /// Scratch arm for local feedback: each observation restores the

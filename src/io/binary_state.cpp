@@ -2,23 +2,29 @@
 // as checksummed packets of raw little-endian doubles (docs/FORMATS.md).
 // Save/load is bit-exact (no 17-digit decimal round trip) and an order of
 // magnitude faster at production sizes (bench/bench_state_io.cpp gates
-// this in CI).
+// this in CI). Writers emit one packet set; the legacy packet shapes load
+// only.
 //
 // Packet types, `banditware-state` payload (kind 1):
+//   0x04 fit        λ f64, ridge f64 — always written first, before the
+//                   header; legacy blobs have none (λ = 1, default ridge)
+//                   or λ alone (default ridge)
 //   0x01 header     config + epsilon + feature names + arm catalog
-//   0x02 arm stats  arm index, n, theta[d+1], P[(d+1)^2]
+//   0x05 evidence   arm index, n, R's upper triangle packed row-major
+//                   [(d+1)(d+2)/2], z[d+1]
+//   0x02 arm stats  arm index, n, theta[d+1], P[(d+1)^2]; load-only,
+//                   converted once by the RLS (rejects a P that is not
+//                   positive definite)
 //   0x03 arm rows   arm index, row count, rows of [x..., y]; load-only,
 //                   replayed (legacy snapshots with the exact_history flag)
-//   0x04 lambda     forgetting factor λ (f64); written before the header,
-//                   only when λ != 1 — λ=1 streams stay byte-identical
 //   0x7F end        number of arm packets written
 //
 // `banditserver-state` payload (kind 2):
+//   0x13 fit        λ f64, ridge f64 — same contract as 0x04, checked
+//                   against the restored engine
 //   0x10 header     server config + counters + bandit config + catalog
 //   0x11 shard      shard index + nested banditware-state container
 //   0x12 base       nested banditware-state container (sync baseline)
-//   0x13 lambda     forgetting factor λ (f64); written before the header,
-//                   only when λ != 1 (checked against the restored engine)
 //   0x7F end        number of shard + base packets written
 //
 // Truncation contract: a torn or checksum-failing packet ends the stream
@@ -47,11 +53,12 @@ using core::PolicyKind;
 constexpr std::uint8_t kBanditHeader = 0x01;
 constexpr std::uint8_t kArmStats = 0x02;
 constexpr std::uint8_t kArmRows = 0x03;
-constexpr std::uint8_t kBanditLambda = 0x04;
+constexpr std::uint8_t kBanditFit = 0x04;
+constexpr std::uint8_t kArmEvidence = 0x05;
 constexpr std::uint8_t kServerHeader = 0x10;
 constexpr std::uint8_t kShard = 0x11;
 constexpr std::uint8_t kBase = 0x12;
-constexpr std::uint8_t kServerLambda = 0x13;
+constexpr std::uint8_t kServerFit = 0x13;
 constexpr std::uint8_t kEnd = 0x7F;
 
 [[noreturn]] void fail(const std::string& what) {
@@ -78,9 +85,9 @@ hw::HardwareSpec get_spec(PayloadReader& reader) {
   return spec;
 }
 
-/// The BanditWareConfig scalars both header packets share. The fit options
-/// and resource weights are construction parameters, not learned state —
-/// they are not serialized, matching the text formats.
+/// The BanditWareConfig scalars both header packets share. λ and the ridge
+/// ride in the fit packet ahead of the header; the resource weights are a
+/// construction parameter, not serialized, matching the text formats.
 void put_bandit_config(std::string& out, const core::BanditWareConfig& config) {
   put_u8(out, static_cast<std::uint8_t>(config.policy_kind));
   put_f64(out, config.alpha);
@@ -92,13 +99,14 @@ void put_bandit_config(std::string& out, const core::BanditWareConfig& config) {
   put_u8(out, 0);  // legacy exact_history flag: row packets are load-only
 }
 
-/// `lambda` comes from the optional lambda packet that precedes the header;
-/// `exact_history` receives the legacy flag announcing 0x03 row packets.
-core::BanditWareConfig get_bandit_config(PayloadReader& reader, double lambda,
+/// `fit` comes from the fit packet that precedes the header; `exact_history`
+/// receives the legacy flag announcing 0x03 row packets.
+core::BanditWareConfig get_bandit_config(PayloadReader& reader,
+                                         const linalg::FitOptions& fit,
                                          bool& exact_history,
                                          void (*raise)(const std::string&)) {
   core::BanditWareConfig config;
-  config.policy.fit.forgetting = lambda;
+  config.policy.fit = fit;
   const std::uint8_t kind = reader.get_u8();
   if (kind > static_cast<std::uint8_t>(PolicyKind::kThompson)) {
     raise("unknown policy kind");
@@ -113,7 +121,7 @@ core::BanditWareConfig get_bandit_config(PayloadReader& reader, double lambda,
   exact_history = reader.get_u8() != 0;
   // Row-carrying snapshots were only ever written for ε-greedy at λ = 1.
   if (exact_history &&
-      (lambda != 1.0 || config.policy_kind != PolicyKind::kEpsilonGreedy)) {
+      (fit.forgetting != 1.0 || config.policy_kind != PolicyKind::kEpsilonGreedy)) {
     raise("exact_history rows require an epsilon-greedy snapshot with lambda 1");
   }
   return config;
@@ -140,13 +148,20 @@ void put_catalog(std::string& out, const hw::HardwareCatalog& catalog) {
   for (const auto& spec : catalog.specs()) put_spec(out, spec);
 }
 
-/// Reads a lambda extension packet's payload. Written before the header,
-/// only when λ != 1, so legacy readers skip it and λ=1 streams never grow.
-/// Its range is the RLS constructor's rule.
-double get_lambda(PayloadReader& payload) {
-  const double lambda = payload.get_f64();
-  payload.expect_done("lambda");
-  return lambda;
+void put_fit(std::string& out, const linalg::FitOptions& fit) {
+  put_f64(out, fit.forgetting);
+  put_f64(out, fit.ridge);
+}
+
+/// Reads a fit packet's payload: λ, then the ridge. Older writers emitted
+/// λ alone (and only when λ != 1); those load with the default ridge. The
+/// ranges are the RLS constructor's rule.
+linalg::FitOptions get_fit(PayloadReader& payload) {
+  linalg::FitOptions fit;
+  fit.forgetting = payload.get_f64();
+  if (payload.remaining() != 0) fit.ridge = payload.get_f64();
+  payload.expect_done("fit");
+  return fit;
 }
 
 hw::HardwareCatalog get_catalog(PayloadReader& reader,
@@ -166,11 +181,9 @@ void write_bandit_packets(std::ostream& os, const BanditWare& bandit) {
   write_container_magic(os, PayloadKind::kBanditWareState);
 
   std::string payload;
-  if (config.policy.fit.forgetting != 1.0) {
-    put_f64(payload, config.policy.fit.forgetting);
-    write_packet(os, kBanditLambda, payload);
-    payload.clear();
-  }
+  put_fit(payload, config.policy.fit);
+  write_packet(os, kBanditFit, payload);
+  payload.clear();
   put_bandit_config(payload, config);
   // Like the text writer, the epsilon line is live state for ε-greedy and
   // the schedule origin for the other kinds.
@@ -186,10 +199,9 @@ void write_bandit_packets(std::ostream& os, const BanditWare& bandit) {
     payload.clear();
     put_u32(payload, static_cast<std::uint32_t>(arm));
     put_u64(payload, rls.n_observations());
-    put_f64_array(payload, rls.theta().data(), rls.theta().size());
-    put_f64_array(payload, rls.precision_inverse().data().data(),
-                  rls.precision_inverse().data().size());
-    write_packet(os, kArmStats, payload);
+    put_f64_array(payload, rls.r().data(), rls.r().size());
+    put_f64_array(payload, rls.z().data(), rls.z().size());
+    write_packet(os, kArmEvidence, payload);
   }
 
   payload.clear();
@@ -219,13 +231,15 @@ core::BanditWare load_bandit_binary(std::istream& is, LoadInfo* info) {
 
   std::optional<BanditWare> bandit;
   double epsilon = 1.0;
-  double lambda = 1.0;
+  linalg::FitOptions fit;  // no fit packet: λ = 1, default ridge
+  bool saw_fit = false;
   bool exact_history = false;
   std::size_t dim = 0;
   std::vector<bool> arm_seen;
   std::uint64_t arm_packets = 0;
   bool saw_end = false;
   // Scratch reused across arm packets (every arm has the same shape).
+  core::ArmStats stats;
   linalg::Vector theta;
   linalg::Matrix p;
 
@@ -233,16 +247,17 @@ core::BanditWare load_bandit_binary(std::istream& is, LoadInfo* info) {
   while (!saw_end && reader.next(packet)) {
     PayloadReader payload(packet.payload);
     switch (packet.type) {
-      case kBanditLambda: {
-        if (bandit.has_value()) fail("lambda packet after header");
-        if (lambda != 1.0) fail("duplicate lambda packet");
-        lambda = get_lambda(payload);
+      case kBanditFit: {
+        if (bandit.has_value()) fail("fit packet after header");
+        if (saw_fit) fail("duplicate fit packet");
+        fit = get_fit(payload);
+        saw_fit = true;
         break;
       }
       case kBanditHeader: {
         if (bandit.has_value()) fail("duplicate header packet");
         const core::BanditWareConfig config =
-            get_bandit_config(payload, lambda, exact_history, &fail);
+            get_bandit_config(payload, fit, exact_history, &fail);
         epsilon = payload.get_f64();
         std::vector<std::string> feature_names = get_feature_names(payload, &fail);
         hw::HardwareCatalog catalog = get_catalog(payload, &fail);
@@ -252,6 +267,7 @@ core::BanditWare load_bandit_binary(std::istream& is, LoadInfo* info) {
         bandit.emplace(std::move(catalog), std::move(feature_names), config);
         break;
       }
+      case kArmEvidence:
       case kArmStats:
       case kArmRows: {
         if (!bandit.has_value()) fail("arm packet before header");
@@ -264,6 +280,7 @@ core::BanditWare load_bandit_binary(std::istream& is, LoadInfo* info) {
         }
         const std::uint64_t n = payload.get_u64();
         if (n > kMaxObservationsPerArm) fail("obs count exceeds limit");
+        const std::size_t dim_aug = dim + 1;
         if (exact) {
           // Size check up front: the allocation below must be bounded by
           // the (checksummed) bytes actually present in the packet.
@@ -275,8 +292,16 @@ core::BanditWare load_bandit_binary(std::istream& is, LoadInfo* info) {
             const double y = payload.get_f64();
             StateAccess::banked(*bandit).observe(arm, x, y);
           }
+        } else if (packet.type == kArmEvidence) {
+          const std::size_t packed = linalg::RecursiveLeastSquares::packed_size(dim);
+          if (payload.remaining() != (packed + dim_aug) * sizeof(double)) {
+            fail("truncated evidence");
+          }
+          stats.r.resize(packed);
+          stats.z.resize(dim_aug);
+          payload.get_f64_array(stats.r.data(), packed);
+          payload.get_f64_array(stats.z.data(), dim_aug);
         } else {
-          const std::size_t dim_aug = dim + 1;
           if (payload.remaining() != (dim_aug + dim_aug * dim_aug) * sizeof(double)) {
             fail("truncated sufficient statistics");
           }
@@ -286,8 +311,14 @@ core::BanditWare load_bandit_binary(std::istream& is, LoadInfo* info) {
           }
           payload.get_f64_array(theta.data(), dim_aug);
           payload.get_f64_array(p.data().data(), dim_aug * dim_aug);
-          StateAccess::banked(*bandit).bank().restore_arm(arm, p, theta,
-                                                          static_cast<std::size_t>(n));
+          if (!linalg::RecursiveLeastSquares::information_from_covariance(
+                  p, theta, stats.r, stats.z)) {
+            fail("covariance P is not positive definite");
+          }
+        }
+        if (!exact) {
+          stats.n = static_cast<std::size_t>(n);
+          StateAccess::banked(*bandit).bank().restore_arm(arm, stats);
         }
         payload.expect_done("arm");
         arm_seen[arm] = true;
@@ -330,11 +361,9 @@ void save_server_binary(std::ostream& os, const serve::BanditServer& server) {
   write_container_magic(os, PayloadKind::kBanditServerState);
 
   std::string payload;
-  if (config.bandit.policy.fit.forgetting != 1.0) {
-    put_f64(payload, config.bandit.policy.fit.forgetting);
-    write_packet(os, kServerLambda, payload);
-    payload.clear();
-  }
+  put_fit(payload, config.bandit.policy.fit);
+  write_packet(os, kServerFit, payload);
+  payload.clear();
   put_u32(payload, static_cast<std::uint32_t>(num_shards));
   put_u8(payload, static_cast<std::uint8_t>(config.sharding));
   put_u64(payload, config.seed);
@@ -377,7 +406,8 @@ serve::BanditServer load_server_binary(std::istream& is, LoadInfo* info) {
   hw::HardwareCatalog catalog;
   bool saw_header = false;
   bool saw_end = false;
-  double header_lambda = 1.0;
+  linalg::FitOptions header_fit;  // no fit packet: λ = 1, default ridge
+  bool saw_fit = false;
   std::size_t num_shards = 0;
   std::vector<std::optional<BanditWare>> slots;
   std::unique_ptr<BanditWare> base;
@@ -398,10 +428,11 @@ serve::BanditServer load_server_binary(std::istream& is, LoadInfo* info) {
   while (!saw_end && reader.next(packet)) {
     PayloadReader payload(packet.payload);
     switch (packet.type) {
-      case kServerLambda: {
-        if (saw_header) fail_server("lambda packet after header");
-        if (header_lambda != 1.0) fail_server("duplicate lambda packet");
-        header_lambda = get_lambda(payload);
+      case kServerFit: {
+        if (saw_header) fail_server("fit packet after header");
+        if (saw_fit) fail_server("duplicate fit packet");
+        header_fit = get_fit(payload);
+        saw_fit = true;
         break;
       }
       case kServerHeader: {
@@ -428,7 +459,7 @@ serve::BanditServer load_server_binary(std::istream& is, LoadInfo* info) {
         rr_counter = payload.get_u64();
         bool exact_history = false;  // shard blobs carry their own flag
         config.bandit =
-            get_bandit_config(payload, header_lambda, exact_history, &fail_server);
+            get_bandit_config(payload, header_fit, exact_history, &fail_server);
         feature_names = get_feature_names(payload, &fail_server);
         catalog = get_catalog(payload, &fail_server);
         payload.expect_done("header");
@@ -480,7 +511,8 @@ serve::BanditServer load_server_binary(std::istream& is, LoadInfo* info) {
   }
 
   // The restore constructor holds every blob to the first one; the shape
-  // the header declares (0x10, with λ from 0x13) meets the same rule.
+  // the header declares (0x10, with λ and the ridge from 0x13) meets the
+  // same rule.
   serve::BanditServer server = StateAccess::make_server(
       config, std::move(replicas), std::move(base), rr_counter, observe_batches);
   StateAccess::check_shape(server, catalog, feature_names, config.bandit, "header");

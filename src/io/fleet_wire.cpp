@@ -21,7 +21,10 @@ constexpr std::uint8_t kPacketNodeHeader = 0x40;
 constexpr std::uint8_t kPacketServerBlob = 0x41;
 constexpr std::uint8_t kPacketNodeOriginBlock = 0x42;
 constexpr std::uint8_t kPacketEnd = 0x7F;
-constexpr std::uint8_t kWireVersion = 1;
+/// Version 2 carries evidence (R, z) per entry; version 1's (θ, P)
+/// entries are load-only, converted once by the RLS.
+constexpr std::uint8_t kWireVersion = 2;
+constexpr std::uint8_t kWireVersionCovariance = 1;
 
 [[noreturn]] void fail(const std::string& what) {
   throw ParseError("fleet wire: " + what);
@@ -81,30 +84,47 @@ void put_origin_block(std::string& payload, const FleetOriginBlock& block) {
   for (const FleetArmEntry& entry : block.arms) {
     put_u32(payload, entry.arm);
     put_u64(payload, entry.stats.n);
-    put_f64_array(payload, entry.stats.theta.data(), entry.stats.theta.size());
-    put_f64_array(payload, entry.stats.p.data().data(), entry.stats.p.data().size());
+    put_f64_array(payload, entry.stats.r.data(), entry.stats.r.size());
+    put_f64_array(payload, entry.stats.z.data(), entry.stats.z.size());
   }
 }
 
+/// Reads a header's wire version byte: the current one, or version 1.
+std::uint8_t get_wire_version(PayloadReader& payload) {
+  const std::uint8_t version = payload.get_u8();
+  if (version != kWireVersion && version != kWireVersionCovariance) {
+    fail("unknown wire version");
+  }
+  return version;
+}
+
 /// Parses one origin block. The per-entry size is fixed by the header's
-/// feature count, so the whole payload is size-checked before any of it is
-/// decoded — a hostile entry count fails here, not in an allocator.
-FleetOriginBlock get_origin_block(PayloadReader& payload,
-                                  const FleetWireConfig& config) {
+/// feature count (and the wire version), so the whole payload is
+/// size-checked before any of it is decoded — a hostile entry count fails
+/// here, not in an allocator. Each entry's evidence must be valid for the
+/// RLS (finite, R's diagonal positive): a bad entry stored in a slot would
+/// make every later refold of that arm throw.
+FleetOriginBlock get_origin_block(PayloadReader& payload, const FleetWireConfig& config,
+                                  std::uint8_t version) {
   FleetOriginBlock block;
   block.origin.node = payload.get_u32();
   block.origin.incarnation = payload.get_u32();
   const std::uint32_t count = payload.get_u32();
   if (count > config.num_arms) fail("origin block entry count exceeds arm count");
-  const std::size_t dim_aug = static_cast<std::size_t>(config.num_features) + 1;
+  const std::size_t dim = config.num_features;
+  const std::size_t dim_aug = dim + 1;
+  const std::size_t packed = linalg::RecursiveLeastSquares::packed_size(dim);
+  const std::size_t stats_doubles =
+      version == kWireVersion ? packed + dim_aug : dim_aug + dim_aug * dim_aug;
   const std::size_t entry_bytes =
-      sizeof(std::uint32_t) + sizeof(std::uint64_t) +
-      (dim_aug + dim_aug * dim_aug) * sizeof(double);
+      sizeof(std::uint32_t) + sizeof(std::uint64_t) + stats_doubles * sizeof(double);
   if (payload.remaining() != count * entry_bytes) {
     fail("origin block size mismatch");
   }
   std::set<std::uint32_t> seen;
   block.arms.reserve(count);
+  linalg::Vector theta;
+  linalg::Matrix p;
   for (std::uint32_t i = 0; i < count; ++i) {
     FleetArmEntry entry;
     entry.arm = payload.get_u32();
@@ -114,15 +134,24 @@ FleetOriginBlock get_origin_block(PayloadReader& payload,
     if (n == 0) fail("origin block entry carries no observations");
     if (n > kMaxObservationsPerArm) fail("obs count exceeds limit");
     entry.stats.n = static_cast<std::size_t>(n);
-    entry.stats.theta.resize(dim_aug);
-    payload.get_f64_array(entry.stats.theta.data(), dim_aug);
-    entry.stats.p = linalg::Matrix(dim_aug, dim_aug);
-    payload.get_f64_array(entry.stats.p.data().data(), dim_aug * dim_aug);
-    for (double v : entry.stats.theta) {
-      if (!std::isfinite(v)) fail("non-finite statistic");
-    }
-    for (double v : entry.stats.p.data()) {
-      if (!std::isfinite(v)) fail("non-finite statistic");
+    if (version == kWireVersion) {
+      entry.stats.r.resize(packed);
+      entry.stats.z.resize(dim_aug);
+      payload.get_f64_array(entry.stats.r.data(), packed);
+      payload.get_f64_array(entry.stats.z.data(), dim_aug);
+      if (!linalg::RecursiveLeastSquares::valid_evidence(dim, entry.stats.r,
+                                                         entry.stats.z)) {
+        fail("invalid evidence (non-finite, or R's diagonal not positive)");
+      }
+    } else {
+      theta.resize(dim_aug);
+      p = linalg::Matrix(dim_aug, dim_aug);
+      payload.get_f64_array(theta.data(), dim_aug);
+      payload.get_f64_array(p.data().data(), dim_aug * dim_aug);
+      if (!linalg::RecursiveLeastSquares::information_from_covariance(
+              p, theta, entry.stats.r, entry.stats.z)) {
+        fail("non-finite statistic, or covariance P not positive definite");
+      }
     }
     block.arms.push_back(std::move(entry));
   }
@@ -184,6 +213,7 @@ FleetDelta load_fleet_delta(const std::string& bytes, bool* truncated) {
   PacketReader reader(is, PayloadKind::kFleetDelta);
 
   FleetDelta delta;
+  std::uint8_t version = kWireVersion;
   bool have_header = false;
   bool have_vv = false;
   bool clean_end = false;
@@ -195,7 +225,7 @@ FleetDelta load_fleet_delta(const std::string& bytes, bool* truncated) {
     switch (packet.type) {
       case kPacketDeltaHeader: {
         if (have_header) fail("duplicate header");
-        if (payload.get_u8() != kWireVersion) fail("unknown wire version");
+        version = get_wire_version(payload);
         delta.sender = payload.get_u32();
         delta.sender_incarnation = payload.get_u32();
         delta.config = get_wire_config(payload);
@@ -205,7 +235,7 @@ FleetDelta load_fleet_delta(const std::string& bytes, bool* truncated) {
       }
       case kPacketOriginBlock: {
         if (!have_header) fail("origin block before header");
-        FleetOriginBlock block = get_origin_block(payload, delta.config);
+        FleetOriginBlock block = get_origin_block(payload, delta.config, version);
         seen.check(block.origin);
         delta.origins.push_back(std::move(block));
         break;
@@ -289,6 +319,7 @@ FleetNodeState load_fleet_node(const std::string& bytes, bool* truncated) {
   PacketReader reader(is, PayloadKind::kFleetNode);
 
   FleetNodeState state;
+  std::uint8_t version = kWireVersion;
   bool have_header = false;
   bool have_blob = false;
   bool clean_end = false;
@@ -300,7 +331,8 @@ FleetNodeState load_fleet_node(const std::string& bytes, bool* truncated) {
     switch (packet.type) {
       case kPacketNodeHeader: {
         if (have_header) fail("duplicate header");
-        if (payload.get_u8() != kWireVersion) fail("unknown wire version");
+        version = get_wire_version(payload);
+        state.legacy_engine = version == kWireVersionCovariance;
         state.node = payload.get_u32();
         state.incarnation = payload.get_u32();
         state.config = get_wire_config(payload);
@@ -317,7 +349,7 @@ FleetNodeState load_fleet_node(const std::string& bytes, bool* truncated) {
       }
       case kPacketNodeOriginBlock: {
         if (!have_header) fail("origin block before header");
-        FleetOriginBlock block = get_origin_block(payload, state.config);
+        FleetOriginBlock block = get_origin_block(payload, state.config, version);
         seen.check(block.origin);
         state.origins.push_back(std::move(block));
         break;

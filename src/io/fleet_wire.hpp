@@ -6,8 +6,10 @@
 //   * kFleetDelta (4) — one gossip message: the sender's identity, a
 //     config envelope the receiver cross-checks (policy token, scalars,
 //     forgetting factor λ, ridge, shape), per-origin blocks of cumulative
-//     per-arm sufficient statistics (P, θ, n — raw LE doubles, bit-exact),
-//     and the sender's per-origin/per-arm version vector. Origin blocks
+//     per-arm evidence (R's packed upper triangle, z, n — raw LE doubles,
+//     bit-exact), and the sender's per-origin/per-arm version vector.
+//     Writers emit wire version 2; version 1's (θ, P) entries load through
+//     the RLS's one legacy conversion. Origin blocks
 //     carry *cumulative* statistics, not increments: because every origin
 //     stream is appended by exactly one node, the stats at count n extend
 //     the stats at any smaller count, so receivers apply each entry with
@@ -22,7 +24,8 @@
 // gossip message a partial apply is harmless — replace semantics means the
 // rest simply arrives with a later message). Semantic contradictions inside
 // a checksum-valid packet — hostile counts, out-of-range arms, duplicate
-// blocks, non-finite statistics — are hard ParseErrors, never a bad_alloc.
+// blocks, evidence the RLS would reject — are hard ParseErrors, never a
+// bad_alloc.
 
 #include <compare>
 #include <cstdint>
@@ -66,7 +69,7 @@ struct FleetWireConfig {
   bool operator==(const FleetWireConfig&) const = default;
 };
 
-/// Cumulative sufficient statistics of one (origin, arm) stream prefix.
+/// Cumulative evidence of one (origin, arm) stream prefix.
 struct FleetArmEntry {
   std::uint32_t arm = 0;
   core::ArmStats stats;
@@ -101,6 +104,10 @@ struct FleetNodeState {
   FleetWireConfig config;
   std::string server_blob;  ///< nested kind-2 (banditserver-state) container
   std::vector<FleetOriginBlock> origins;
+  /// Set by load_fleet_node for wire version 1, whose engine blob predates
+  /// snapshots that persist the ridge: `config.ridge` is the engine's.
+  /// save_fleet_node ignores it.
+  bool legacy_engine = false;
 };
 
 std::string save_fleet_delta(const FleetDelta& delta);

@@ -23,6 +23,7 @@ bool identify_text_header(const std::string& line, ProbeResult& out) {
   else if (line == "banditware-state v2") out.version = 2;
   else if (line == "banditware-state v3") out.version = 3;
   else if (line == "banditware-state v4") out.version = 4;
+  else if (line == "banditware-state v5") out.version = 5;
   else out.version = 0;
   if (out.version != 0) {
     out.kind = PayloadKind::kBanditWareState;
@@ -33,6 +34,7 @@ bool identify_text_header(const std::string& line, ProbeResult& out) {
   else if (line == "banditserver-state v3") out.version = 3;
   else if (line == "banditserver-state v4") out.version = 4;
   else if (line == "banditserver-state v5") out.version = 5;
+  else if (line == "banditserver-state v6") out.version = 6;
   else return false;
   out.kind = PayloadKind::kBanditServerState;
   return true;

@@ -7,16 +7,16 @@
 //   io::load_state(is) / io::load_server_state(is)
 //
 // Loading auto-detects the format from the leading bytes — the binary
-// container magic, or a `banditware-state v1..v4` / `banditserver-state
-// v1..v5` text header — so every snapshot ever written keeps loading
+// container magic, or a `banditware-state v1..v5` / `banditserver-state
+// v1..v6` text header — so every snapshot ever written keeps loading
 // through one call, forever. The legacy string-based members
 // (`BanditWare::save_state()/load_state()`, `BanditServer::…`) are thin
 // wrappers over these streams; no caller outside src/io/ touches a
 // version-specific parser.
 //
-// Text stays the default save format: it is diffable, and the ε-greedy
-// text encoding is pinned byte-for-byte by golden fixtures. Binary
-// (docs/FORMATS.md) stores sufficient statistics as raw little-endian
+// Text stays the default save format: it is diffable, and its one written
+// version is pinned byte-for-byte by a golden fixture. Binary
+// (docs/FORMATS.md) stores each arm's evidence as raw little-endian
 // doubles — bit-exact round trips with none of the 17-digit formatting
 // cost — inside checksummed packets, so a truncated file loads up to the
 // last complete packet instead of being lost.

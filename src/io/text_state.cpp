@@ -1,12 +1,12 @@
-// The plain-text snapshot codecs — `banditware-state v1..v4` and
-// `banditserver-state v1..v5` — moved here from core/banditware.cpp and
-// serve/bandit_server.cpp so that no version-specific parser lives outside
-// src/io/. The writers are byte-for-byte the historical writers for every
-// snapshot they can still produce (the golden fixtures in tests/data/ pin
-// this). Raw observation rows — v1 bodies and v2+ `obs` records under
-// `exact_history 1` — are load-only: the readers replay them into the
-// recursive arms, and the writers always emit `stats` records with the
-// flag at 0. Shard blob reads are bounded by chunked reads instead of
+// The plain-text snapshot codecs — `banditware-state v1..v5` and
+// `banditserver-state v1..v6`. The writers emit one version each: v5 / v6,
+// with the λ, ridge and policy lines always present and one evidence
+// record (z and R's upper triangle) per arm. Every older body is
+// load-only. (θ, P) records (bandit v2-v4, inside server v2-v5) convert
+// once through the RLS (A = P⁻¹, R = chol(A), z = Rθ), which rejects a P
+// that is not positive definite. Raw observation rows — v1 bodies and
+// v2-v4 `obs` records under `exact_history 1` — replay into the recursive
+// arms. Shard blob reads are bounded by chunked reads instead of
 // rdbuf()->in_avail(), because in_avail() only sees the buffered portion
 // of a file stream and the codec reads from arbitrary istreams.
 
@@ -80,11 +80,13 @@ void replay_rows(BanditWare& bandit, ArmIndex arm, const ArmRows& rows) {
   }
 }
 
-/// Parses the config / epsilon / features / arms preamble shared by v1-v4
-/// (v2+ additionally carries the exact_history flag on the config line;
-/// the v3+ policy line is read by the caller before this preamble).
+/// Parses the config / epsilon / features / arms preamble shared by v1-v5
+/// (v2-v4 additionally carry the exact_history flag on the config line, and
+/// v1 holds raw rows only; the lambda, ridge and policy lines are read by
+/// the caller before this preamble).
 SnapshotHeader read_header(std::istream& is, int version) {
   SnapshotHeader header;
+  header.exact_history = version == 1;
   std::string token;
   is >> token;
   if (token != "epsilon0") fail("expected epsilon0");
@@ -92,7 +94,7 @@ SnapshotHeader read_header(std::istream& is, int version) {
   is >> token >> header.config.policy.decay;
   is >> token >> header.config.policy.tolerance.ratio;
   is >> token >> header.config.policy.tolerance.seconds;
-  if (version >= 2) {
+  if (version >= 2 && version <= 4) {
     int exact = 0;
     is >> token >> exact;
     if (token != "exact_history") fail("expected exact_history");
@@ -117,47 +119,63 @@ SnapshotHeader read_header(std::istream& is, int version) {
   return header;
 }
 
-BanditWare load_bandit_text_v1(std::istream& is) {
-  // Legacy format: raw observation rows per arm, rebuilt by replaying every
-  // observation through the policy.
-  const SnapshotHeader header = read_header(is, 1);
+/// One v5 evidence record: `z` with d+1 values, then R's upper triangle,
+/// one `R` line per row.
+void read_evidence(std::istream& is, std::size_t dim, core::ArmStats& stats) {
+  const std::size_t dim_aug = dim + 1;
   std::string token;
-
-  std::vector<ArmRows> arms(header.num_arms);
-  hw::HardwareCatalog catalog;
-  for (auto& arm : arms) {
-    hw::HardwareSpec spec;
+  is >> token;
+  if (token != "z") fail("expected z");
+  stats.z.resize(dim_aug);
+  for (double& v : stats.z) is >> v;
+  stats.r.resize(linalg::RecursiveLeastSquares::packed_size(dim));
+  std::size_t at = 0;
+  for (std::size_t row = 0; row < dim_aug; ++row) {
     is >> token;
-    if (token != "arm") fail("expected arm record");
-    is >> spec.name >> spec.cpus >> spec.memory_gb >> token;
-    if (token != "obs") fail("expected obs count");
-    const std::size_t obs = read_obs_count(is);
-    if (!is) fail("truncated arm header");
-    catalog.add(spec);
-    read_rows(is, header.feature_names.size(), obs, arm);
+    if (token != "R") fail("expected R row");
+    for (std::size_t c = row; c < dim_aug; ++c) is >> stats.r[at++];
   }
-
-  BanditWare restored(std::move(catalog), header.feature_names, header.config);
-  for (ArmIndex arm = 0; arm < restored.num_arms(); ++arm) {
-    replay_rows(restored, arm, arms[arm]);
-  }
-  // The replay above decayed ε; the snapshot value is authoritative (the
-  // original run may have interleaved other decays).
-  StateAccess::eps_greedy(restored)->set_epsilon(header.epsilon);
-  return restored;
+  if (!is) fail("truncated evidence");
 }
 
-BanditWare load_bandit_text_v2(std::istream& is, int version) {
+/// One legacy (θ, P) record, converted to evidence by the RLS.
+void read_covariance(std::istream& is, std::size_t dim, core::ArmStats& stats) {
+  const std::size_t dim_aug = dim + 1;
+  std::string token;
+  is >> token;
+  if (token != "theta") fail("expected theta");
+  linalg::Vector theta(dim_aug);
+  for (double& v : theta) is >> v;
+  linalg::Matrix p(dim_aug, dim_aug);
+  for (std::size_t r = 0; r < dim_aug; ++r) {
+    is >> token;
+    if (token != "P") fail("expected P row");
+    for (std::size_t c = 0; c < dim_aug; ++c) is >> p(r, c);
+  }
+  if (!is) fail("truncated sufficient statistics");
+  if (!linalg::RecursiveLeastSquares::information_from_covariance(p, theta, stats.r,
+                                                                  stats.z)) {
+    fail("covariance P is not positive definite");
+  }
+}
+
+BanditWare load_bandit_body(std::istream& is, int version) {
   std::string token;
   PolicyKind kind = PolicyKind::kEpsilonGreedy;
   double alpha = 1.0;
   double posterior_scale = 1.0;
   double lambda = 1.0;  // v1-v3 predate the discount: legacy loads as λ=1
-  // λ, α and v are range-checked by the RLS and policy constructors (the
-  // io entry points turn their InvalidArgument into ParseError).
+  double ridge = 0.0;   // v1-v4 predate the persisted ridge: the default prior
+  // λ, the ridge, α and v are range-checked by the RLS and policy
+  // constructors (the io entry points turn their InvalidArgument into
+  // ParseError).
   if (version >= 4) {
     is >> token >> lambda;
     if (!is || token != "lambda") fail("expected lambda");
+  }
+  if (version >= 5) {
+    is >> token >> ridge;
+    if (!is || token != "ridge") fail("expected ridge");
   }
   if (version >= 3) {
     is >> token;
@@ -179,19 +197,17 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
   header.config.alpha = alpha;
   header.config.posterior_scale = posterior_scale;
   header.config.policy.fit.forgetting = lambda;
+  header.config.policy.fit.ridge = ridge;
   // Row-carrying snapshots were only ever written for ε-greedy at λ = 1; a
   // snapshot claiming rows with anything else is corrupt.
   if (header.exact_history && (lambda != 1.0 || kind != PolicyKind::kEpsilonGreedy)) {
     fail("exact_history rows require an epsilon-greedy snapshot with lambda 1");
   }
   const std::size_t dim = header.feature_names.size();
-  const std::size_t dim_aug = dim + 1;
 
   struct ArmState {
     bool exact = false;
-    std::size_t n = 0;
-    linalg::Vector theta;  // stats record
-    linalg::Matrix p;      // stats record
+    core::ArmStats stats;  // evidence (v5) or converted (θ, P) record
     ArmRows rows;          // legacy obs record
   };
   std::vector<ArmState> arms(header.num_arms);
@@ -200,33 +216,29 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
     hw::HardwareSpec spec;
     is >> token;
     if (token != "arm") fail("expected arm record");
-    is >> spec.name >> spec.cpus >> spec.memory_gb >> spec.gpus >> token;
+    is >> spec.name >> spec.cpus >> spec.memory_gb;
+    if (version >= 2) is >> spec.gpus;  // v1 predates the gpus column
+    is >> token;
     if (token != "obs" && token != "stats") fail("expected obs or stats count");
     arm.exact = token == "obs";
     if (arm.exact != header.exact_history) {
       fail("arm record kind contradicts exact_history flag");
     }
-    arm.n = read_obs_count(is);
+    arm.stats.n = read_obs_count(is);
     if (!is) fail("truncated arm header");
     catalog.add(spec);
     if (arm.exact) {
-      read_rows(is, dim, arm.n, arm.rows);
+      read_rows(is, dim, arm.stats.n, arm.rows);
+    } else if (version >= 5) {
+      read_evidence(is, dim, arm.stats);
     } else {
-      is >> token;
-      if (token != "theta") fail("expected theta");
-      arm.theta.resize(dim_aug);
-      for (double& v : arm.theta) is >> v;
-      arm.p = linalg::Matrix(dim_aug, dim_aug);
-      for (std::size_t r = 0; r < dim_aug; ++r) {
-        is >> token;
-        if (token != "P") fail("expected P row");
-        for (std::size_t c = 0; c < dim_aug; ++c) is >> arm.p(r, c);
-      }
-      if (!is) fail("truncated sufficient statistics");
+      read_covariance(is, dim, arm.stats);
     }
   }
-  is >> token;
-  if (token != "end") fail("truncated state (missing end trailer)");
+  if (version >= 2) {  // v1 predates the end trailer
+    is >> token;
+    if (token != "end") fail("truncated state (missing end trailer)");
+  }
 
   BanditWare restored(std::move(catalog), header.feature_names, header.config);
   for (ArmIndex arm = 0; arm < restored.num_arms(); ++arm) {
@@ -234,10 +246,11 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
     if (state.exact) {
       replay_rows(restored, arm, state.rows);
     } else {
-      StateAccess::banked(restored).bank().restore_arm(arm, state.p, state.theta,
-                                                       state.n);
+      StateAccess::banked(restored).bank().restore_arm(arm, state.stats);
     }
   }
+  // A replay decays ε; the snapshot's value is authoritative (the original
+  // run may have interleaved other decays).
   if (auto* eps = StateAccess::eps_greedy(restored)) eps->set_epsilon(header.epsilon);
   return restored;
 }
@@ -245,61 +258,48 @@ BanditWare load_bandit_text_v2(std::istream& is, int version) {
 }  // namespace
 
 std::string bandit_state_text(const BanditWare& bandit) {
-  // Sufficient statistics (theta, P, n) per arm — O(arms * d^2) regardless
-  // of history length. ε-greedy instances write the pre-policy-axis v2
-  // format byte-for-byte (existing snapshots and golden fixtures stay
-  // stable); LinUCB/Thompson write v3, which only adds the `policy` line
-  // below. The legacy exact_history flag is always 0: `obs` row records
-  // are load-only.
+  // Evidence (R, z, n) per arm — O(arms * d^2) regardless of history
+  // length. Non-ε policies carry no decaying exploration rate; the epsilon
+  // line round-trips the schedule origin so every kind shares one header.
   const core::BanditWareConfig& config = bandit.config();
   const hw::HardwareCatalog& catalog = bandit.catalog();
   const core::BankedPolicy& policy = StateAccess::banked(bandit);
-  const bool eps_kind = config.policy_kind == PolicyKind::kEpsilonGreedy;
-  // λ < 1 writes the v4 superset (a `lambda` line, then an always-present
-  // `policy` line — ε-greedy included, so v4 has one body shape). λ = 1
-  // keeps writing v2/v3 byte-for-byte: the discount is the only thing the
-  // new version carries, and stationary snapshots must not drift.
-  const double lambda = config.policy.fit.forgetting;
-  const bool discounted = lambda != 1.0;
   std::ostringstream os;
   os << std::setprecision(17);
-  os << (discounted ? "banditware-state v4\n"
-                    : (eps_kind ? "banditware-state v2\n" : "banditware-state v3\n"));
-  if (discounted) os << "lambda " << lambda << "\n";
-  if (!eps_kind || discounted) {
-    os << "policy " << core::to_string(config.policy_kind);
-    if (config.policy_kind == PolicyKind::kLinUcb) {
-      os << " alpha " << config.alpha;
-    } else if (config.policy_kind == PolicyKind::kThompson) {
-      os << " posterior_scale " << config.posterior_scale;
-    }
-    os << "\n";
+  os << "banditware-state v5\n";
+  os << "lambda " << config.policy.fit.forgetting << "\n";
+  os << "ridge " << config.policy.fit.ridge << "\n";
+  os << "policy " << core::to_string(config.policy_kind);
+  if (config.policy_kind == PolicyKind::kLinUcb) {
+    os << " alpha " << config.alpha;
+  } else if (config.policy_kind == PolicyKind::kThompson) {
+    os << " posterior_scale " << config.posterior_scale;
   }
-  // Non-ε policies carry no decaying exploration rate; the schedule fields
-  // round-trip the config so the shared header stays one format.
-  const double epsilon_line =
-      eps_kind ? bandit.epsilon() : config.policy.initial_epsilon;
+  os << "\n";
+  const double epsilon_line = config.policy_kind == PolicyKind::kEpsilonGreedy
+                                  ? bandit.epsilon()
+                                  : config.policy.initial_epsilon;
   os << "epsilon0 " << config.policy.initial_epsilon << " decay " << config.policy.decay
      << " tol_ratio " << config.policy.tolerance.ratio << " tol_seconds "
-     << config.policy.tolerance.seconds << " exact_history 0\n";
+     << config.policy.tolerance.seconds << "\n";
   os << "epsilon " << epsilon_line << "\n";
   os << "features " << bandit.feature_names().size();
   for (const auto& name : bandit.feature_names()) os << ' ' << name;
   os << "\n";
   os << "arms " << catalog.size() << "\n";
+  const std::size_t dim_aug = bandit.feature_names().size() + 1;
   for (ArmIndex arm = 0; arm < catalog.size(); ++arm) {
     const auto& spec = catalog[arm];
-    const auto& model = policy.arm_model(arm);
-    const auto& rls = model.rls();
+    const auto& rls = policy.arm_model(arm).rls();
     os << "arm " << spec.name << ' ' << spec.cpus << ' ' << spec.memory_gb << ' '
-       << spec.gpus << " stats " << model.count() << "\n";
-    os << "theta";
-    for (double v : rls.theta()) os << ' ' << v;
+       << spec.gpus << " stats " << rls.n_observations() << "\n";
+    os << "z";
+    for (double v : rls.z()) os << ' ' << v;
     os << "\n";
-    const auto& p = rls.precision_inverse();
-    for (std::size_t r = 0; r < p.rows(); ++r) {
-      os << "P";
-      for (std::size_t c = 0; c < p.cols(); ++c) os << ' ' << p(r, c);
+    const double* r = rls.r().data();
+    for (std::size_t row = 0; row < dim_aug; ++row) {
+      os << "R";
+      for (std::size_t c = row; c < dim_aug; ++c) os << ' ' << *r++;
       os << "\n";
     }
   }
@@ -310,9 +310,8 @@ std::string bandit_state_text(const BanditWare& bandit) {
 }
 
 core::BanditWare load_bandit_text(std::istream& is, int version) {
-  if (version == 1) return load_bandit_text_v1(is);
-  if (version >= 2 && version <= 4) return load_bandit_text_v2(is, version);
-  fail("bad header");
+  if (version < 1 || version > 5) fail("bad header");
+  return load_bandit_body(is, version);
 }
 
 std::string server_state_text(const serve::BanditServer& server) {
@@ -320,32 +319,20 @@ std::string server_state_text(const serve::BanditServer& server) {
   // the text is assembled (see StateAccess::lock_snapshot).
   const StateAccess::ServerReadLock lock = StateAccess::lock_snapshot(server);
 
-  // ε-greedy engines write the pre-policy-axis v3 format byte-for-byte
-  // (existing snapshots and golden fixtures stay stable); LinUCB/Thompson
-  // engines write v4, which only adds the `policy` token below. The policy
-  // scalars (alpha / posterior scale) ride inside the shard blobs — the
-  // header token is the cross-check the loader verifies against them.
+  // The header repeats the engine's λ, ridge and policy kind; the shard
+  // blobs carry them too (with the policy scalars), and the loader checks
+  // the header against the engine the blobs restore.
   const serve::BanditServerConfig& config = server.config();
   const std::size_t num_shards = StateAccess::num_shards(server);
-  const bool eps_kind = config.bandit.policy_kind == PolicyKind::kEpsilonGreedy;
-  // λ < 1 writes the v5 superset (a `lambda` header token, and the `policy`
-  // token becomes always-present so v5 has one header shape); λ = 1 keeps
-  // writing v3/v4 byte-for-byte. The shard blobs carry λ themselves (v4
-  // bandit format) — the header token is the cross-check the loader
-  // verifies against them, like the policy token.
-  const double lambda = config.bandit.policy.fit.forgetting;
-  const bool discounted = lambda != 1.0;
   std::ostringstream os;
-  os << (discounted ? "banditserver-state v5\n"
-                    : (eps_kind ? "banditserver-state v3\n" : "banditserver-state v4\n"));
+  os << "banditserver-state v6\n";
   os << "shards " << num_shards << " sharding " << to_string(config.sharding)
      << " seed " << config.seed << " threads " << config.num_threads << " explore "
      << (config.explore ? 1 : 0) << " sync_every " << config.sync_every
-     << " sync_mode " << to_string(config.sync_mode);
-  if (discounted) os << std::setprecision(17) << " lambda " << lambda;
-  if (!eps_kind || discounted) {
-    os << " policy " << core::to_string(config.bandit.policy_kind);
-  }
+     << " sync_mode " << to_string(config.sync_mode) << std::setprecision(17)
+     << " lambda " << config.bandit.policy.fit.forgetting << " ridge "
+     << config.bandit.policy.fit.ridge << " policy "
+     << core::to_string(config.bandit.policy_kind);
   os << " observe_batches " << StateAccess::observe_batches(server) << " rr_counter "
      << StateAccess::rr_counter(server) << "\n";
   for (std::size_t s = 0; s < num_shards; ++s) {
@@ -391,10 +378,12 @@ serve::BanditServer load_server_text(std::istream& is, int version) {
   if (!is || token != "explore") fail("expected explore");
   config.explore = explore != 0;
   // What the header declares about the engine's shape, checked against the
-  // restored engine at the end: ε-greedy at λ = 1 until v4 / v5 say
-  // otherwise (v1-v3 predate the policy axis, v1-v4 the discount).
+  // restored engine at the end: ε-greedy at λ = 1 with the default ridge
+  // until v4 / v5 / v6 say otherwise (v1-v3 predate the policy axis, v1-v4
+  // the discount, v1-v5 the persisted ridge).
   PolicyKind header_kind = PolicyKind::kEpsilonGreedy;
   double header_lambda = 1.0;
+  double header_ridge = 0.0;
   if (version >= 2) {
     is >> token >> config.sync_every;
     if (!is || token != "sync_every") fail("expected sync_every");
@@ -408,6 +397,10 @@ serve::BanditServer load_server_text(std::istream& is, int version) {
     if (version >= 5) {
       is >> token >> header_lambda;
       if (!is || token != "lambda") fail("expected lambda");
+    }
+    if (version >= 6) {
+      is >> token >> header_ridge;
+      if (!is || token != "ridge") fail("expected ridge");
     }
     if (version >= 4) {
       std::string policy_name;
@@ -476,6 +469,9 @@ serve::BanditServer load_server_text(std::istream& is, int version) {
   }
   if (engine.policy.fit.forgetting != header_lambda) {
     fail("shard lambda contradicts the header lambda");
+  }
+  if (engine.policy.fit.ridge != header_ridge) {
+    fail("shard ridge contradicts the header ridge");
   }
   return server;
 }

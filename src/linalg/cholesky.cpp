@@ -9,8 +9,8 @@ namespace bw::linalg {
 namespace {
 
 /// Averages the off-diagonal halves in place. Computed SPD inverses are
-/// symmetric only up to solve round-off; downstream factorizations and
-/// merges expect exact symmetry.
+/// symmetric only up to solve round-off; a factorization of the result
+/// expects exact symmetry.
 void symmetrize(Matrix& m) {
   for (std::size_t r = 0; r < m.rows(); ++r) {
     for (std::size_t c = r + 1; c < m.cols(); ++c) {
@@ -116,18 +116,6 @@ Cholesky factor_spd(const Matrix& a, double jitter) {
 
 Vector solve_spd(const Matrix& a, const Vector& b, double jitter) {
   return factor_spd(a, jitter).solve(b);
-}
-
-Matrix invert_spd(const Matrix& a, double jitter) {
-  Matrix inv = factor_spd(a, jitter).inverse();
-  // One Newton–Schulz step (X <- X (2I - A X)) roughly squares the inverse
-  // residual. Sufficient-statistics merges chain inversions (P -> A -> P),
-  // so the extra digits keep the fused model within 1e-9 of single-stream
-  // training even on ill-conditioned Gram matrices.
-  Matrix correction = Matrix::identity(a.rows()) * 2.0 - a * inv;
-  inv = inv * correction;
-  symmetrize(inv);
-  return inv;
 }
 
 }  // namespace bw::linalg

@@ -30,7 +30,7 @@ class Cholesky {
 
   /// A^{-1}, solved column-by-column from the stored factor and symmetrized
   /// (the exact inverse is symmetric; averaging removes solve round-off).
-  /// Used to recover precision matrices when fusing sufficient statistics.
+  /// Used by the RLS's legacy covariance conversion.
   Matrix inverse() const;
 
   const Matrix& lower() const { return l_; }
@@ -47,8 +47,5 @@ Cholesky factor_spd(const Matrix& a, double jitter = 1e-10);
 
 /// Solves A x = b for SPD A via factor_spd.
 Vector solve_spd(const Matrix& a, const Vector& b, double jitter = 1e-10);
-
-/// A^{-1} for SPD A via factor_spd. The result is exactly symmetric.
-Matrix invert_spd(const Matrix& a, double jitter = 1e-10);
 
 }  // namespace bw::linalg

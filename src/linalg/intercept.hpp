@@ -2,8 +2,8 @@
 // Intercept augmentation [x; 1] — the one place that defines how the bias
 // column is attached to a feature vector or design matrix. Both the batch
 // fitter (linalg/lstsq) and the recursive updater (linalg/rls) append the
-// intercept *last*, and serialized sufficient statistics (banditware-state
-// v2) rely on that layout, so the convention lives here instead of being
+// intercept *last*, and serialized evidence (every snapshot's per-arm R and
+// z) relies on that layout, so the convention lives here instead of being
 // hand-rolled per call site.
 
 #include <span>

@@ -32,6 +32,8 @@ struct FitOptions {
   /// Ridge penalty on [w; b]. 0 = ordinary least squares (QR path).
   double ridge = 0.0;
   /// If true and the QR path hits rank deficiency, retry with this ridge.
+  /// fit_linear only: the recursive arm model's prior is `ridge` (0 means
+  /// 1e-8).
   double fallback_ridge = 1e-8;
   /// Fit the intercept b (paper's model always has one). Only fit_linear
   /// honours false; core::LinearArmModel rejects it.
@@ -39,8 +41,8 @@ struct FitOptions {
   /// Forgetting factor λ ∈ (0, 1] for the recursive (RLS) arm model:
   /// A ← λA + xxᵀ, b ← λb + yx, so an observation k steps old carries
   /// weight λ^k (effective window ≈ 1/(1-λ)). λ = 1 is the stationary
-  /// estimator, bit-identical to the pre-λ code paths. fit_linear ignores
-  /// it (a batch fit weights every row equally).
+  /// estimator. fit_linear ignores it (a batch fit weights every row
+  /// equally).
   double forgetting = 1.0;
 };
 

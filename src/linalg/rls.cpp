@@ -6,12 +6,57 @@
 #include "linalg/cholesky.hpp"
 #include "linalg/intercept.hpp"
 
+// GCC's -O3 cost model vectorizes the short triangular loops in this file
+// (trip counts of at most d + 1) behind alias checks, peeling and
+// epilogues; that doubled the cost of an update at d = 4 and d = 7. They
+// run scalar.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("no-tree-vectorize")
+#endif
+
 namespace bw::linalg {
+
+namespace {
+
+/// a = RᵀR (both halves) and b = Rᵀz for a packed upper-triangular R.
+void information(const Vector& r, const Vector& z, std::size_t p, Matrix& a,
+                 Vector& b) {
+  a = Matrix(p, p);
+  b.assign(p, 0.0);
+  const double* row = r.data();
+  for (std::size_t k = 0; k < p; ++k) {  // row k holds R(k, k..p-1)
+    for (std::size_t i = k; i < p; ++i) {
+      const double rki = row[i - k];
+      b[i] += rki * z[k];
+      for (std::size_t j = i; j < p; ++j) a(i, j) += rki * row[j - k];
+    }
+    row += p - k;
+  }
+  for (std::size_t i = 1; i < p; ++i) {
+    for (std::size_t j = 0; j < i; ++j) a(i, j) = a(j, i);
+  }
+}
+
+/// Packs Lᵀ (the upper factor R of A = L Lᵀ) row-major into `r`.
+void pack_transpose(const Matrix& l, Vector& r) {
+  const std::size_t p = l.rows();
+  r.resize(p * (p + 1) / 2);
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = i; j < p; ++j) r[at++] = l(j, i);
+  }
+}
+
+}  // namespace
 
 RecursiveLeastSquares::RecursiveLeastSquares(std::size_t dim, double ridge,
                                              double forgetting)
-    : dim_(dim), ridge_(ridge), lambda_(forgetting) {
-  BW_CHECK_MSG(ridge > 0.0, "RLS requires a positive ridge prior");
+    : dim_(dim),
+      ridge_(ridge),
+      lambda_(forgetting),
+      sqrt_lambda_(std::sqrt(forgetting)) {
+  BW_CHECK_MSG(ridge > 0.0 && std::isfinite(ridge),
+               "RLS requires a positive ridge prior");
   BW_CHECK_MSG(std::isfinite(forgetting) && forgetting > 0.0 && forgetting <= 1.0,
                "RLS forgetting factor must be in (0, 1]");
   reset();
@@ -19,67 +64,90 @@ RecursiveLeastSquares::RecursiveLeastSquares(std::size_t dim, double ridge,
 
 void RecursiveLeastSquares::reset() {
   const std::size_t p = dim_ + 1;
-  p_ = Matrix(p, p);
-  for (std::size_t i = 0; i < p; ++i) p_(i, i) = 1.0 / ridge_;
-  theta_.assign(p, 0.0);
+  r_.assign(packed_size(dim_), 0.0);
+  const double root = std::sqrt(ridge_);
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < p; ++i) {
+    r_[at] = root;
+    at += p - i;
+  }
+  z_.assign(p, 0.0);
+  theta_.resize(p);
+  rinv_.resize(p);
   n_ = 0;
+  solve_theta();
+}
+
+void RecursiveLeastSquares::solve_theta() {
+  // The reciprocals are independent of each other, so the substitution's
+  // dependency chain multiplies instead of divides.
+  const std::size_t p = dim_ + 1;
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < p; ++i) {
+    rinv_[i] = 1.0 / r_[at];
+    at += p - i;
+  }
+  back_substitute();
+}
+
+void RecursiveLeastSquares::back_substitute() {
+  // Row i subtracts its farthest term first and θ(i + 1), the one just
+  // computed, last, so only one multiply-subtract waits on it.
+  const std::size_t p = dim_ + 1;
+  std::size_t at = r_.size();
+  for (std::size_t ii = p; ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    at -= p - i;
+    const double* row = r_.data() + at;  // R(i, i..p-1)
+    double s = z_[i];
+    for (std::size_t j = p - 1 - i; j > 0; --j) s -= row[j] * theta_[i + j];
+    theta_[i] = s * rinv_[i];
+  }
 }
 
 void RecursiveLeastSquares::update(std::span<const double> x, double y) {
   BW_CHECK_MSG(x.size() == dim_, "RLS: feature size mismatch");
   BW_CHECK_MSG(all_finite(x), "RLS: non-finite feature");
-  with_intercept_into(x, xa_scratch_);
-  const Vector& xa = xa_scratch_;
-  const std::size_t p = xa.size();
-
-  // Forgetting-factor gain: k = P x / (λ + x^T P x); theta += k (y - x^T
-  // theta); P <- (P - k x^T P) / λ. This is Sherman–Morrison on the
-  // discounted information recursion A <- λA + xxᵀ, b <- λb + yx. At λ = 1
-  // the denominator is 1 + x^T P x and the final rescale is skipped, so the
-  // stationary path is bit-identical to the pre-λ update.
-  px_scratch_.resize(p);  // every element is overwritten below
-  Vector& px = px_scratch_;
-  for (std::size_t i = 0; i < p; ++i) {
-    const double* row = p_.row(i).data();
-    double s = 0.0;
-    for (std::size_t j = 0; j < p; ++j) s += row[j] * xa[j];
-    px[i] = s;
+  with_intercept_into(x, row_scratch_);
+  const std::size_t p = dim_ + 1;
+  // Discount: A ← λA and b ← λb are R ← √λR and z ← √λz (z = R⁻ᵀb).
+  if (lambda_ != 1.0) {
+    for (double& v : r_) v *= sqrt_lambda_;
+    for (double& v : z_) v *= sqrt_lambda_;
   }
-  const double denom = lambda_ + dot(xa, px);
-  const double err = y - dot(xa, theta_);
-  for (std::size_t i = 0; i < p; ++i) theta_[i] += px[i] * err / denom;
-  // P <- P - (P x)(x^T P) / denom; exploit symmetry.
-  if (lambda_ == 1.0) {
-    for (std::size_t i = 0; i < p; ++i) {
-      double* row = p_.row(i).data();
-      const double pxi = px[i] / denom;
-      for (std::size_t j = 0; j < p; ++j) row[j] -= pxi * px[j];
+  // Append the row [x̃ᵀ | y] below [R | z] and rotate it back to upper
+  // triangular: rotation k, (c, s) = (a, b) / h, zeroes the row's entry k
+  // against a = R(k, k). The row's last value is the update's residual and
+  // is dropped. R(k, k) stays positive: it starts at √ridge and each
+  // rotation replaces it with the hypotenuse h.
+  double* row = row_scratch_.data();
+  double* rk = r_.data();
+  double rhs = y;
+  for (std::size_t k = 0; k < p; ++k) {
+    const double a = rk[0];
+    const double b = row[k];
+    const double h = std::sqrt(a * a + b * b);
+    const double inv = 1.0 / h;
+    rk[0] = h;
+    rinv_[k] = inv;
+    for (std::size_t j = 1; j < p - k; ++j) {
+      const double rkj = rk[j];
+      const double xj = row[k + j];
+      rk[j] = (a * rkj + b * xj) * inv;
+      row[k + j] = (a * xj - b * rkj) * inv;
     }
-  } else {
-    // Discounted path: the downdate must use FP-symmetric arithmetic —
-    // px[i] * px[j] / denom, divide last — so P(i,j) and P(j,i) round
-    // identically and P stays exactly symmetric. The λ=1 precompute
-    // (px[i]/denom first) rounds differently across (i,j)/(j,i); that
-    // ~1e-16 asymmetry is harmless when λ = 1, but the symmetric rank-one
-    // downdate never contracts an asymmetric component, so the 1/λ
-    // rescale below amplifies it geometrically (λ^-n) until P — and with
-    // it θ — diverges after a few thousand updates. The rescale rides in
-    // the same pass (scalar multiply preserves symmetry).
-    const double inv_lambda = 1.0 / lambda_;
-    for (std::size_t i = 0; i < p; ++i) {
-      double* row = p_.row(i).data();
-      for (std::size_t j = 0; j < p; ++j) {
-        row[j] = (row[j] - px[i] * px[j] / denom) * inv_lambda;
-      }
-    }
+    const double zk = z_[k];
+    z_[k] = (a * zk + b * rhs) * inv;
+    rhs = (a * rhs - b * zk) * inv;
+    rk += p - k;
   }
   ++n_;
+  back_substitute();
 }
 
 double RecursiveLeastSquares::predict(std::span<const double> x) const {
   BW_CHECK_MSG(x.size() == dim_, "RLS: feature size mismatch");
-  const Vector xa = with_intercept(x);
-  return dot(xa, theta_);
+  return dot(std::span<const double>(theta_.data(), dim_), x) + theta_[dim_];
 }
 
 Vector RecursiveLeastSquares::weights() const {
@@ -90,8 +158,72 @@ double RecursiveLeastSquares::bias() const { return theta_.back(); }
 
 double RecursiveLeastSquares::variance_proxy(std::span<const double> x) const {
   BW_CHECK_MSG(x.size() == dim_, "RLS: feature size mismatch");
-  const Vector xa = with_intercept(x);
-  return dot(xa, p_ * xa);
+  Vector scratch;
+  return variance_proxy_aug(with_intercept(x), scratch);
+}
+
+double RecursiveLeastSquares::variance_proxy_aug(std::span<const double> xa,
+                                                 Vector& scratch) const {
+  const std::size_t p = dim_ + 1;
+  BW_CHECK_MSG(xa.size() == p, "RLS: feature size mismatch");
+  // Forward substitution Rᵀu = x̃, row by row of R; the result is ‖u‖².
+  scratch.assign(xa.begin(), xa.end());
+  double* u = scratch.data();
+  const double* row = r_.data();
+  double sum = 0.0;
+  for (std::size_t i = 0; i < p; ++i) {
+    const double ui = u[i] * rinv_[i];
+    sum += ui * ui;
+    for (std::size_t j = 1; j < p - i; ++j) u[i + j] -= row[j] * ui;
+    row += p - i;
+  }
+  return sum;
+}
+
+bool RecursiveLeastSquares::valid_evidence(std::size_t dim, std::span<const double> r,
+                                           std::span<const double> z) {
+  const std::size_t p = dim + 1;
+  if (r.size() != packed_size(dim) || z.size() != p) return false;
+  if (!all_finite(r) || !all_finite(z)) return false;
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < p; ++i) {
+    if (!(r[at] > 0.0)) return false;
+    at += p - i;
+  }
+  return true;
+}
+
+void RecursiveLeastSquares::restore(std::span<const double> r,
+                                    std::span<const double> z, std::size_t n) {
+  BW_CHECK_MSG(valid_evidence(dim_, r, z),
+               "RLS::restore: evidence needs a finite R with a positive diagonal "
+               "and a finite z of the model's shape");
+  r_.assign(r.begin(), r.end());
+  z_.assign(z.begin(), z.end());
+  n_ = n;
+  solve_theta();
+}
+
+bool RecursiveLeastSquares::information_from_covariance(const Matrix& p,
+                                                        const Vector& theta,
+                                                        Vector& r, Vector& z) {
+  const std::size_t n = theta.size();
+  if (n == 0 || p.rows() != n || p.cols() != n) return false;
+  if (!all_finite(std::span<const double>(p.data())) || !all_finite(theta)) {
+    return false;
+  }
+  const auto covariance = Cholesky::factor(p);
+  if (!covariance) return false;
+  const auto info = Cholesky::factor(covariance->inverse());
+  if (!info) return false;
+  pack_transpose(info->lower(), r);
+  // z = R θ, R(i, j) = L(j, i).
+  const Matrix& l = info->lower();
+  z.assign(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) z[i] += l(j, i) * theta[j];
+  }
+  return true;
 }
 
 void RecursiveLeastSquares::merge(const RecursiveLeastSquares& other,
@@ -109,16 +241,16 @@ void RecursiveLeastSquares::merge(const RecursiveLeastSquares& other,
     BW_CHECK_MSG(base->n_ <= other.n_,
                  "RLS::merge: base holds more observations than other");
     // No evidence beyond the common ancestor — nothing to fold in. (The
-    // deterministic update makes identical statistics equivalent to an
+    // deterministic update makes identical evidence equivalent to an
     // identical stream.)
-    if (other.n_ == base->n_ && other.p_ == base->p_ && other.theta_ == base->theta_) {
-      return;
-    }
+    if (other.n_ == base->n_ && other.r_ == base->r_ && other.z_ == base->z_) return;
   } else {
     if (other.n_ == 0) return;  // other is the bare prior: exact no-op
     if (n_ == 0) {              // we are the bare prior: adopt other verbatim
-      p_ = other.p_;
+      r_ = other.r_;
+      z_ = other.z_;
       theta_ = other.theta_;
+      rinv_ = other.rinv_;
       n_ = other.n_;
       return;
     }
@@ -127,61 +259,36 @@ void RecursiveLeastSquares::merge(const RecursiveLeastSquares& other,
   // Discount alignment: the fused estimator is the one that saw self's
   // stream, then other's m new observations (m = other.n - base.n). The
   // observation count is the discount generation, so self's and the base's
-  // information age by λ^m before the stationary information-form algebra
-  // runs. scale == 1.0 exactly at λ = 1 (pow(1, m) == 1), so multiplying by
-  // it keeps the stationary path bit-identical.
+  // information age by λ^m. scale == 1.0 exactly at λ = 1.
   const std::size_t p = dim_ + 1;
   const std::size_t other_new = other.n_ - (base != nullptr ? base->n_ : 0);
   const double scale = std::pow(lambda_, static_cast<double>(other_new));
-  Matrix a_self = invert_spd(p_);
-  const Matrix a_other = invert_spd(other.p_);
-  Vector b = a_self * theta_;
-  if (scale != 1.0) {
-    for (double& v : a_self.data()) v *= scale;
-    for (double& v : b) v *= scale;
-  }
-  Matrix a = a_self + a_other;
-  axpy(1.0, a_other * other.theta_, b);
-  const std::size_t n = n_ + other_new;
+  // The new evidence first (other minus the aged ancestor, or minus the
+  // prior copy both operands carry), so two near-equal operands cancel
+  // before the result meets self's larger information.
+  Matrix a;
+  Vector b;
+  information(other.r_, other.z_, p, a, b);
   if (base != nullptr) {
-    Matrix a_base = invert_spd(base->p_);
-    Vector b_base = a_base * base->theta_;
-    if (scale != 1.0) {
-      for (double& v : a_base.data()) v *= scale;
-      for (double& v : b_base) v *= scale;
-    }
-    a = a - a_base;
-    axpy(-1.0, b_base, b);
+    Matrix a_base;
+    Vector b_base;
+    information(base->r_, base->z_, p, a_base, b_base);
+    axpy(-scale, a_base.data(), a.data());
+    axpy(-scale, b_base, b);
   } else {
-    // Both operands carry the (aged) ridge prior; keep exactly one copy.
     for (std::size_t i = 0; i < p; ++i) a(i, i) -= scale * ridge_;
   }
-  // Solve the fused normal equations; one step of iterative refinement
-  // (r = b - A theta, theta += A^{-1} r) recovers the digits the plain
-  // solve loses on ill-conditioned Gram matrices — the 1e-9 equivalence
-  // property depends on it.
-  const Cholesky chol = factor_spd(a);
-  Vector theta = chol.solve(b);
-  Vector residual(p);
-  for (std::size_t i = 0; i < p; ++i) residual[i] = b[i] - dot(a.row(i), theta);
-  axpy(1.0, chol.solve(residual), theta);
-  theta_ = std::move(theta);
-  p_ = invert_spd(a);
-  n_ = n;
-}
+  Matrix a_self;
+  Vector b_self;
+  information(r_, z_, p, a_self, b_self);
+  axpy(scale, a_self.data(), a.data());
+  axpy(scale, b_self, b);
 
-void RecursiveLeastSquares::restore(const Matrix& p, const Vector& theta,
-                                    std::size_t n) {
-  const std::size_t dim_aug = dim_ + 1;
-  BW_CHECK_MSG(p.rows() == dim_aug && p.cols() == dim_aug,
-               "RLS::restore: precision matrix shape mismatch");
-  BW_CHECK_MSG(theta.size() == dim_aug, "RLS::restore: theta length mismatch");
-  BW_CHECK_MSG(all_finite(std::span<const double>(p.data())),
-               "RLS::restore: non-finite precision entry");
-  BW_CHECK_MSG(all_finite(theta), "RLS::restore: non-finite theta entry");
-  p_ = p;
-  theta_ = theta;
-  n_ = n;
+  const Cholesky chol = factor_spd(a);
+  pack_transpose(chol.lower(), r_);
+  z_ = chol.solve_lower(b);  // Lz = b with L = Rᵀ
+  n_ += other_new;
+  solve_theta();
 }
 
 }  // namespace bw::linalg

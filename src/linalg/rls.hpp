@@ -1,15 +1,22 @@
 #pragma once
-// Recursive least squares (Sherman–Morrison form). An O(p^2)-per-update
-// alternative to the paper's batch refit (Alg. 1 line 11): after every
-// observation the posterior precision P = (X^T X + ridge I)^{-1} is updated
-// in place. Mathematically identical to ridge least squares on the same
-// data (verified by property tests). This is the learner inside every
+// Recursive least squares in square-root information form (Bierman,
+// "Factorization Methods for Discrete Sequential Estimation", 1977). An
+// O(p^2)-per-update alternative to the paper's batch refit (Alg. 1 line
+// 11), mathematically identical to ridge least squares on the same data
+// (verified by property tests). This is the learner inside every
 // core::LinearArmModel.
 //
-// update() is allocation-free after the first call (member scratch
-// buffers), so a long observation stream costs exactly O(p^2) work per
-// step. The sufficient statistics (P, theta, n) are exposed — and
-// restorable via restore() — so snapshots can carry the model state
+// The evidence is (R, z, n) and nothing else: R is the upper-triangular
+// factor of the information matrix A = X^T X + ridge I (R^T R = A), z =
+// R^{-T} b with b = X^T y, and n the observation count. theta = R^{-1} z is
+// derived by one back-substitution after every write. Working on R instead
+// of A (or its inverse) keeps the condition number at the square root of
+// A's, which is what lets raw, badly scaled features (sizes in the tens of
+// thousands next to unit values) fuse exactly.
+//
+// update() is allocation-free after the first call (member scratch), so a
+// long observation stream costs exactly O(p^2) work per step. The evidence
+// is exposed — and restorable via restore() — so snapshots carry it
 // directly instead of replaying history.
 
 #include <span>
@@ -20,12 +27,12 @@ namespace bw::linalg {
 
 class RecursiveLeastSquares {
  public:
-  /// `dim` features (+ intercept handled internally), prior precision
-  /// ridge * I. ridge must be > 0 (a proper prior keeps P finite at n=0).
-  /// `forgetting` is the discount λ ∈ (0, 1]: each update scales the old
-  /// information by λ (A ← λA + xxᵀ, b ← λb + yx), so an observation k
-  /// steps old carries weight λ^k. λ = 1 is today's stationary estimator,
-  /// bit-identical to the two-argument constructor's behavior.
+  /// `dim` features (+ intercept handled internally), prior information
+  /// ridge * I. ridge must be > 0 (a proper prior keeps R invertible at
+  /// n = 0). `forgetting` is the discount λ ∈ (0, 1]: each update scales
+  /// the old information by λ (A ← λA + xxᵀ, b ← λb + yx), so an
+  /// observation k steps old carries weight λ^k. λ = 1 is the stationary
+  /// estimator.
   explicit RecursiveLeastSquares(std::size_t dim, double ridge = 1e-6,
                                  double forgetting = 1.0);
 
@@ -34,7 +41,14 @@ class RecursiveLeastSquares {
   double forgetting() const { return lambda_; }
   std::size_t n_observations() const { return n_; }
 
-  /// Incorporates one observation (x, y). O(p^2), allocation-free.
+  /// Entries of R's upper triangle for `dim` features: (dim+1)(dim+2)/2.
+  static std::size_t packed_size(std::size_t dim) {
+    return (dim + 1) * (dim + 2) / 2;
+  }
+
+  /// Incorporates one observation (x, y): R and z scale by √λ (skipped at
+  /// λ = 1), then the row [x̃ᵀ | y] is rotated into [R | z] by Givens
+  /// rotations. O(p^2), allocation-free.
   void update(std::span<const double> x, double y);
 
   /// Current estimate: prediction w^T x + b.
@@ -43,22 +57,39 @@ class RecursiveLeastSquares {
   Vector weights() const;  ///< w (length dim)
   double bias() const;     ///< b
 
-  /// x_aug^T P x_aug — the LinUCB confidence width uses this quadratic form.
+  /// x̃ᵀ A⁻¹ x̃ = ‖R⁻ᵀx̃‖² — the posterior width LinUCB and Thompson use.
   double variance_proxy(std::span<const double> x) const;
 
-  /// Covariance-like matrix P (dim+1 x dim+1, intercept last).
-  const Matrix& precision_inverse() const { return p_; }
+  /// The same quadratic form for an intercept-augmented x̃ (length dim+1),
+  /// solved in `scratch` (resized to dim+1) so a caller sweeping many arms
+  /// allocates nothing. variance_proxy runs exactly this arithmetic.
+  double variance_proxy_aug(std::span<const double> xa, Vector& scratch) const;
 
-  /// Parameter vector theta = [w; b].
+  /// R's upper triangle packed row-major: row i holds R(i, i..dim).
+  const Vector& r() const { return r_; }
+  /// z = R^{-T} b.
+  const Vector& z() const { return z_; }
+  /// Parameter vector theta = [w; b] = R^{-1} z.
   const Vector& theta() const { return theta_; }
 
-  /// Reinstates saved sufficient statistics (banditware-state v2):
-  /// P must be (dim+1)x(dim+1), theta length dim+1. Throws InvalidArgument
-  /// on shape mismatch or non-finite entries.
-  void restore(const Matrix& p, const Vector& theta, std::size_t n);
+  /// True iff (r, z) is valid evidence for `dim` features: the packed and
+  /// z lengths match, every entry is finite and R's diagonal is positive.
+  static bool valid_evidence(std::size_t dim, std::span<const double> r,
+                             std::span<const double> z);
+
+  /// Reinstates saved evidence. Throws InvalidArgument unless
+  /// valid_evidence(dim(), r, z).
+  void restore(std::span<const double> r, std::span<const double> z, std::size_t n);
+
+  /// The one conversion of a legacy (theta, P) body, P the covariance
+  /// (X^T X + ridge I)^{-1}: A = P^{-1}, R = chol(A), z = R theta. Returns
+  /// false, leaving r and z unspecified, when P is not (dim+1)-square and
+  /// positive definite or theta does not match it.
+  static bool information_from_covariance(const Matrix& p, const Vector& theta,
+                                          Vector& r, Vector& z);
 
   /// Fuses another estimator's evidence into this one. In information form
-  /// (A = P^{-1}, b = A theta) ridge RLS is additive:
+  /// ridge RLS is additive:
   ///   A <- A + A_other - A_base,   b <- b + b_other - b_base,
   /// which reproduces exactly the estimator that saw both data streams in
   /// one pass. With no `base` the shared ridge prior is subtracted once
@@ -73,25 +104,29 @@ class RecursiveLeastSquares {
   /// base's) information is aged by λ^m where m = other.n - base.n is the
   /// number of new observations other contributes:
   ///   A <- λ^m A + A_other - λ^m A_base,  b <- λ^m b + b_other - λ^m b_base.
-  /// At λ = 1 the scale is exactly 1 and this reduces bit-identically to
-  /// the stationary formula above. Mismatched forgetting factors are
-  /// rejected (fusion would not be exact), like mismatched dim or ridge.
-  /// Recovery of A from P and of the fused (theta, P) goes through the
-  /// Cholesky path (factor_spd). Requires matching dim, ridge, forgetting.
+  /// Each operand's A = RᵀR and b = Rᵀz are summed and the result factored
+  /// once. Requires matching dim, ridge and forgetting factor.
   void merge(const RecursiveLeastSquares& other,
              const RecursiveLeastSquares* base = nullptr);
 
   void reset();
 
  private:
+  /// rinv from R's diagonal, then back_substitute().
+  void solve_theta();
+  /// theta = R^{-1} z by back-substitution, rinv current.
+  void back_substitute();
+
   std::size_t dim_;
   double ridge_;
-  double lambda_;  ///< forgetting factor λ ∈ (0, 1]; 1 = stationary
+  double lambda_;       ///< forgetting factor λ ∈ (0, 1]; 1 = stationary
+  double sqrt_lambda_;  ///< √λ, the per-update scale of R and z
   std::size_t n_ = 0;
-  Matrix p_;      ///< (X^T X + ridge I)^{-1}
-  Vector theta_;  ///< [w; b]
-  Vector xa_scratch_;  ///< [x; 1] for the current update
-  Vector px_scratch_;  ///< P [x; 1]
+  Vector r_;      ///< R's upper triangle, packed row-major
+  Vector z_;      ///< R^{-T} X^T y
+  Vector theta_;  ///< [w; b] = R^{-1} z
+  Vector rinv_;   ///< 1 / R(i, i), derived with theta
+  Vector row_scratch_;  ///< [x; 1] being rotated into R
 };
 
 }  // namespace bw::linalg

@@ -539,6 +539,7 @@ void BanditServer::check_shape(const hw::HardwareCatalog& catalog,
   require(theirs.policy.tolerance.ratio == mine.policy.tolerance.ratio &&
               theirs.policy.tolerance.seconds == mine.policy.tolerance.seconds,
           "tolerance");
+  require(theirs.policy.fit.ridge == mine.policy.fit.ridge, "ridge prior");
   require(theirs.policy.fit.forgetting == mine.policy.fit.forgetting,
           "forgetting factor");
 }
@@ -657,7 +658,7 @@ bool BanditServer::sync_stage() {
   for (const auto& shard : shards_) {
     // Brief shared lock per shard: O(arms * d^2) stats copy, no fusion
     // math. Readers (pure-exploitation recommends) share it; observes wait
-    // only for the copy, not for any Cholesky work.
+    // only for the copy, not for any factorization.
     std::shared_lock lock(shard->mutex);
     staging_.shard_stats.push_back(shard->bandit.export_stats());
   }
@@ -668,9 +669,10 @@ bool BanditServer::sync_stage() {
 void BanditServer::sync_fuse() {
   BW_CHECK_MSG(staging_.staged, "sync_fuse: no staged round (run sync_stage first)");
   // Entirely lock-free: reconstruct replicas from the staged statistics and
-  // run the information-form fusion (Cholesky recovery + baseline
-  // subtraction) on private copies. Yield between per-shard merges so the
-  // fuser's CPU bursts stay short: on a machine with fewer cores than
+  // run the information-form fusion (summed information, baseline
+  // subtraction, one factorization per arm) on private copies. Yield
+  // between per-shard merges so the fuser's CPU bursts stay short: on a
+  // machine with fewer cores than
   // threads a long uninterrupted burst would preempt the serving hot path
   // and show up as observe tail latency.
   core::BanditWare base = core::BanditWare::from_stats(catalog_, feature_names_,

@@ -20,8 +20,8 @@
 //     across threads the spread stays fair to within one block per thread.
 //
 // Shards never share mutable state while serving, but they can be fused:
-// sync_shards() merges every replica's sufficient statistics into one model
-// (exact — summing precision matrices and moment vectors reproduces the
+// sync_shards() merges every replica's evidence into one model (exact —
+// summing information matrices and moment vectors reproduces the
 // single-stream ridge solution) and redistributes it, so N-shard serving is
 // statistically equivalent to one big learner. `sync_every` automates this
 // at a fixed observe-batch cadence.
@@ -29,15 +29,15 @@
 // Fusion runs in one of two modes (SyncMode):
 //   * kInline — sync_shards() stops the world: every shard lock is held
 //     exclusive while the fleet fuses. Exact and deterministic, but at
-//     sync_every=1 the whole fleet stalls on O(arms * d^3) Cholesky work
-//     each batch.
+//     sync_every=1 the whole fleet stalls on O(arms * d^3) fusion work
+//     (one factorization per arm per replica) each batch.
 //   * kAsync  — a background fuser thread runs the same algebra off the hot
-//     path in three steps: sync_stage() copies per-shard sufficient
-//     statistics under brief shared locks into a staging buffer,
+//     path in three steps: sync_stage() copies per-shard evidence under
+//     brief shared locks into a staging buffer,
 //     sync_fuse() performs the information-form fusion with no locks held,
 //     sync_publish() swaps the fused model back into every shard during
 //     one short exclusive window (delta folds + no-throw moves only — the
-//     Cholesky-heavy fleet fusion never runs under the shard locks).
+//     fleet-wide fusion never runs under the shard locks).
 //     Observations that arrived after the stage snapshot
 //     (a "late" delta against the staged generation) are re-folded into the
 //     published model per shard — never lost, never double-counted. A
@@ -72,14 +72,13 @@
 //
 // Snapshots are atomic (all shard locks held) and built on the facade's
 // plain-text snapshots, so save -> load -> save is byte-identical. Like
-// BanditWare::save_state, exploration RNG state and non-default fit options
-// are not serialized — a restored server resumes with reseeded exploration
-// streams but identical learned models. ε-greedy engines write format
-// `banditserver-state v3` (sync baseline, cadence phase, sync mode —
-// byte-identical to the pre-policy-axis writer); LinUCB/Thompson engines
-// write `v4`, which adds a policy token cross-checked against the shard
-// blobs. v1-v3 snapshots still load, always as ε-greedy (missing fields
-// default: prior baseline, inline mode). Snapshots taken mid-async-sync are
+// BanditWare::save_state, exploration RNG state is not serialized — a
+// restored server resumes with reseeded exploration streams but identical
+// learned models, ridge prior and forgetting factor. Every engine writes
+// `banditserver-state v6` (sync baseline, cadence phase, sync mode, and
+// λ, ridge and policy tokens cross-checked against the shard blobs);
+// v1-v5 still load (missing fields default: ε-greedy, λ = 1, the default
+// ridge, prior baseline, inline mode). Snapshots taken mid-async-sync are
 // consistent cuts: publishing holds the fuse lock exclusive across the
 // whole swap, so a snapshot never observes a half-published generation.
 
@@ -287,8 +286,8 @@ class BanditServer {
   // may step the pipeline (the fuser only starts once request_sync() runs
   // in async mode, so a harness that never calls request_sync() owns it).
 
-  /// Stage: snapshots the baseline and every shard's sufficient statistics
-  /// under brief shared locks. Returns false (and stages nothing) for
+  /// Stage: snapshots the baseline and every shard's evidence under brief
+  /// shared locks. Returns false (and stages nothing) for
   /// 1-shard engines.
   bool sync_stage();
 
@@ -408,7 +407,7 @@ class BanditServer {
   /// the sync baseline, an adopted model, and what a binary snapshot header
   /// declares: the engine's catalog specs, feature names, policy kind, the
   /// scalars that kind reads (ε₀ and decay, alpha, or the posterior scale),
-  /// tolerance and forgetting factor. Throws InvalidArgument naming `what`
+  /// tolerance, ridge prior and forgetting factor. Throws InvalidArgument naming `what`
   /// and the first field that differs.
   void check_shape(const hw::HardwareCatalog& catalog,
                    const std::vector<std::string>& feature_names,

@@ -79,8 +79,8 @@ TEST(AsyncSyncSchedule, LinUcbScheduleIsDeterministicAndBalanced) {
     EXPECT_EQ(a.observations, a.observations_fed) << "seed=" << seed;
     EXPECT_EQ(a.inconsistent_snapshots, 0u) << "seed=" << seed;
     EXPECT_GT(a.decisions.size(), 0u);
-    // The v4 snapshot must carry the policy token end-to-end.
-    EXPECT_EQ(a.final_state.rfind("banditserver-state v4\n", 0), 0u);
+    // The snapshot must carry the policy token end-to-end.
+    EXPECT_EQ(a.final_state.rfind("banditserver-state v6\n", 0), 0u);
     EXPECT_NE(a.final_state.find("policy linucb"), std::string::npos);
   }
 }
@@ -99,7 +99,7 @@ TEST(AsyncSyncSchedule, ThompsonScheduleIsDeterministicAndBalanced) {
     EXPECT_EQ(a.observations, a.observations_fed) << "seed=" << seed;
     EXPECT_EQ(a.inconsistent_snapshots, 0u) << "seed=" << seed;
     EXPECT_GT(a.decisions.size(), 0u);
-    EXPECT_EQ(a.final_state.rfind("banditserver-state v4\n", 0), 0u);
+    EXPECT_EQ(a.final_state.rfind("banditserver-state v6\n", 0), 0u);
     EXPECT_NE(a.final_state.find("policy thompson"), std::string::npos);
   }
 }
@@ -121,7 +121,7 @@ TEST(AsyncSyncSchedule, DiscountedScheduleIsDeterministicAndBalanced) {
     EXPECT_EQ(a.inconsistent_snapshots, 0u) << "seed=" << seed;
     EXPECT_GT(a.decisions.size(), 0u);
     // Discounted state rides the v5 header with its lambda token.
-    EXPECT_EQ(a.final_state.rfind("banditserver-state v5\n", 0), 0u);
+    EXPECT_EQ(a.final_state.rfind("banditserver-state v6\n", 0), 0u);
     EXPECT_NE(a.final_state.find(" lambda 0.9"), std::string::npos);
   }
 }

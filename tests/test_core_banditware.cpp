@@ -111,7 +111,7 @@ TEST(BanditWare, SaveLoadPreservesConfigTolerance) {
   EXPECT_DOUBLE_EQ(restored.policy().config().tolerance.seconds, 7.5);
 }
 
-TEST(BanditWare, SaveStateIsV2AndByteStableAcrossRoundTrip) {
+TEST(BanditWare, SaveStateIsV5AndByteStableAcrossRoundTrip) {
   BanditWare original = make_bandit();
   Rng rng(9);
   for (int i = 0; i < 25; ++i) {
@@ -120,9 +120,9 @@ TEST(BanditWare, SaveStateIsV2AndByteStableAcrossRoundTrip) {
     original.observe(decision.arm, x, 4.0 * x[0] + x[1]);
   }
   const std::string saved = original.save_state();
-  EXPECT_EQ(saved.rfind("banditware-state v2\n", 0), 0u);
-  // save -> load -> save must be byte-identical (sufficient statistics
-  // serialize exactly at 17 significant digits).
+  EXPECT_EQ(saved.rfind("banditware-state v5\n", 0), 0u);
+  // save -> load -> save must be byte-identical (the evidence serializes
+  // exactly at 17 significant digits and θ is derived from it).
   BanditWare restored = BanditWare::load_state(saved);
   EXPECT_EQ(restored.save_state(), saved);
   // And the restored model is numerically *identical*, not merely close.
@@ -170,12 +170,12 @@ TEST(BanditWare, V1SnapshotMigratesToV2Model) {
     }
   }
 
-  // Migration completes on the next save: the re-saved snapshot is v2 and
+  // Migration completes on the next save: the re-saved snapshot is v5 and
   // round-trips byte-identically from then on.
-  const std::string v2 = migrated.save_state();
-  EXPECT_EQ(v2.rfind("banditware-state v2\n", 0), 0u);
-  BanditWare reloaded = BanditWare::load_state(v2);
-  EXPECT_EQ(reloaded.save_state(), v2);
+  const std::string v5 = migrated.save_state();
+  EXPECT_EQ(v5.rfind("banditware-state v5\n", 0), 0u);
+  BanditWare reloaded = BanditWare::load_state(v5);
+  EXPECT_EQ(reloaded.save_state(), v5);
   EXPECT_EQ(reloaded.predictions({2.0, 2.0}), migrated.predictions({2.0, 2.0}));
 }
 

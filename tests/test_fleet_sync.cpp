@@ -386,8 +386,8 @@ TEST(FleetWireProtocol, DeltaSurvivesTheWireBitExactly) {
       const auto& want = delta.origins[o].arms[e];
       EXPECT_EQ(got.arm, want.arm);
       EXPECT_EQ(got.stats.n, want.stats.n);
-      EXPECT_EQ(got.stats.theta, want.stats.theta);  // raw LE doubles: exact
-      EXPECT_EQ(got.stats.p.data(), want.stats.p.data());
+      EXPECT_EQ(got.stats.r, want.stats.r);  // raw LE doubles: exact
+      EXPECT_EQ(got.stats.z, want.stats.z);
     }
   }
   ASSERT_EQ(loaded.version_vector.size(), delta.version_vector.size());
@@ -546,6 +546,43 @@ TEST(FleetWireProtocol, NodeSnapshotRestoresUnderNextIncarnation) {
   // The old stream is closed: a peer echoing more of incarnation 1 is a
   // normal origin update, but the node's own new stream starts empty.
   EXPECT_EQ(restored.make_delta(0).origins.size(), 1u);  // old stream only
+}
+
+TEST(FleetWireProtocol, RestoredAsyncNodeKeepsPublishingSyncRounds) {
+  // A multi-shard async engine with a non-default ridge must come back from
+  // a snapshot with that ridge: the fuser rebuilds its staged replicas from
+  // the engine's config, and a replica on another prior makes every round's
+  // merge throw, so no round would ever publish again.
+  FleetNodeConfig config;
+  config.node_id = 4;
+  config.server = server_config(PolicyKind::kEpsilonGreedy, 1.0);  // ridge 1e-3
+  config.server.num_shards = 2;
+  config.server.sharding = serve::ShardingPolicy::kRoundRobin;
+  config.server.sync_every = 1;
+  config.server.sync_mode = serve::SyncMode::kAsync;
+  std::size_t step = 0;
+  // Feeds `batches` observe batches, draining the fuser after each, and
+  // returns how many sync rounds published.
+  const auto published_rounds = [&step](FleetNode& node, int batches) {
+    const std::size_t before = node.server().sync_count();
+    for (int b = 0; b < batches; ++b) {
+      std::vector<serve::ServeObservation> batch;
+      for (int i = 0; i < 4; ++i, ++step) {
+        const double tasks = 10.0 + 3.0 * static_cast<double>(step % 17);
+        const double mem = 2.0 + static_cast<double>(step % 5);
+        batch.push_back({step % 2, static_cast<core::ArmIndex>(step % 3), {tasks, mem},
+                         1.0 + 0.1 * tasks + 0.5 * mem});
+      }
+      node.observe_batch(batch);
+      node.server().drain_sync();
+    }
+    return node.server().sync_count() - before;
+  };
+  FleetNode node(hw::ndp_catalog(), feature_names(), config);
+  EXPECT_EQ(published_rounds(node, 5), 5u);
+  FleetNode restored = FleetNode::restore(node.save_snapshot());
+  EXPECT_EQ(restored.server().config().bandit.policy.fit.ridge, 1e-3);
+  EXPECT_EQ(published_rounds(restored, 5), 5u);
 }
 
 }  // namespace

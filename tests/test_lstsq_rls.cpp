@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "exact_ridge.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/intercept.hpp"
 #include "linalg/lstsq.hpp"
@@ -244,9 +248,10 @@ TEST(Rls, ForgettingOneIsBitIdenticalToDefault) {
     plain.update(x, y);
     explicit_one.update(x, y);
   }
-  // Bit-identical, not merely close: λ = 1 must take the pre-λ code path.
+  // Bit-identical, not merely close: the two constructors are one path.
   EXPECT_EQ(plain.theta(), explicit_one.theta());
-  EXPECT_EQ(plain.precision_inverse().data(), explicit_one.precision_inverse().data());
+  EXPECT_EQ(plain.r(), explicit_one.r());
+  EXPECT_EQ(plain.z(), explicit_one.z());
 }
 
 // Discounted RLS against its definition: θ solves the geometrically
@@ -274,7 +279,7 @@ TEST(Rls, DiscountedMatchesWeightedNormalEquations) {
       b[r] += y * xa[r];
     }
   }
-  const Vector theta = invert_spd(a) * b;
+  const Vector theta = solve_spd(a, b);
   for (std::size_t c = 0; c < dim + 1; ++c) {
     EXPECT_NEAR(rls.theta()[c], theta[c], 1e-8) << "theta " << c;
   }
@@ -300,32 +305,42 @@ TEST(Rls, DiscountedTracksTargetShift) {
   EXPECT_GT(std::abs(undiscounted.weights()[0] - (-5.0)), 1.0);
 }
 
-// Regression pin: the discounted downdate must keep P exactly symmetric.
-// An FP-asymmetric rank-one downdate (dividing the gain into one factor
-// before the outer product) seeds a ~1e-16 asymmetry that the symmetric
-// downdate never contracts; the 1/λ rescale then amplifies it by λ^-n
-// until P — and θ — diverge after a few thousand updates.
-TEST(Rls, DiscountedPrecisionStaysExactlySymmetric) {
-  const std::size_t dim = 3;
-  RecursiveLeastSquares rls(dim, 1e-8, 0.98);
+// A λ = 0.98 stream far longer than the drift bench's (8000 decisions),
+// on the matmul workload's raw feature scales (size to 12 500 next to a
+// unit sparsity and ±100 value bounds) and the default 1e-8 prior, with a
+// regime change halfway. The square-root update rescales R and z by √λ
+// and rotates one row in, so the prior's warm-up leaves no trace and no
+// round-off is amplified: θ must stay finite and, after every 50
+// observations, predict within 1e-9 of the exact discounted ridge
+// solution re-solved in long double.
+TEST(Rls, LongDiscountedRawScaleStreamMatchesExactSolution) {
+  const std::size_t dim = 4;
+  const double lambda = 0.98;
+  const double ridge = 1e-8;
+  const int steps = 20000;
+  RecursiveLeastSquares rls(dim, ridge, lambda);
+  bw::testing::ExactRidge exact(dim, ridge, lambda);
   bw::Rng rng(53);
-  for (int i = 0; i < 4000; ++i) {
-    const std::vector<double> x = {rng.uniform(1.0, 10.0), rng.uniform(1.0, 10.0),
-                                   rng.uniform(1.0, 10.0)};
-    // Regime change halfway through: the old windup bug needed a large
-    // error signal to surface in θ, not just in P.
-    const double y = i < 2000 ? x[0] + 2.0 * x[1] : 10.0 * x[0] - x[2];
+  double worst = 0.0;
+  for (int step = 0; step < steps; ++step) {
+    const std::vector<double> x = {rng.uniform(100.0, 12500.0), rng.uniform(0.0, 1.0),
+                                   rng.uniform(-100.0, 0.0), rng.uniform(0.0, 100.0)};
+    const double trend = step < steps / 2 ? 0.01 * x[0] + 3.0 * x[1]
+                                          : 0.03 * x[0] - 2.0 * x[1];
+    const double y = trend + 0.02 * (x[3] - x[2]) + 5.0 + rng.normal();
     rls.update(x, y);
-  }
-  const Matrix& p = rls.precision_inverse();
-  for (std::size_t r = 0; r < p.rows(); ++r) {
-    for (std::size_t c = 0; c < r; ++c) {
-      EXPECT_EQ(p(r, c), p(c, r)) << "P asymmetric at (" << r << "," << c << ")";
+    exact.add(x, y);
+    if ((step + 1) % 50 != 0) continue;
+    ASSERT_TRUE(all_finite(rls.theta())) << "step " << step;
+    const std::vector<long double> theta = exact.theta();
+    for (int p = 0; p < 5; ++p) {
+      const std::vector<double> probe = {100.0 + 3000.0 * p, 0.5, -50.0, 50.0};
+      const long double want = bw::testing::ExactRidge::predict(theta, probe);
+      const long double gap = std::fabs(rls.predict(probe) - want) / std::fabs(want);
+      worst = std::max(worst, static_cast<double>(gap));
     }
   }
-  // And θ has tracked the shifted target instead of diverging.
-  const std::vector<double> probe = {5.0, 5.0, 5.0};
-  EXPECT_NEAR(rls.predict(probe), 10.0 * 5.0 - 5.0, 1e-3);
+  EXPECT_LT(worst, 1e-9);
 }
 
 TEST(Rls, RestoreRoundTripsSufficientStatistics) {
@@ -341,8 +356,7 @@ TEST(Rls, RestoreRoundTripsSufficientStatistics) {
   feed(original, 25);
 
   RecursiveLeastSquares restored(3, 1e-6);
-  restored.restore(original.precision_inverse(), original.theta(),
-                   original.n_observations());
+  restored.restore(original.r(), original.z(), original.n_observations());
   EXPECT_EQ(restored.n_observations(), 25u);
   // Restored state is bit-identical, so future updates stay in lockstep.
   const std::vector<double> probe = {0.5, -1.0, 2.0};
@@ -353,13 +367,63 @@ TEST(Rls, RestoreRoundTripsSufficientStatistics) {
   EXPECT_EQ(restored.theta(), original.theta());
 }
 
-TEST(Rls, RestoreRejectsBadShapes) {
+TEST(Rls, RestoreRejectsInvalidEvidence) {
   RecursiveLeastSquares rls(2);
-  EXPECT_THROW(rls.restore(Matrix(2, 2), Vector(3, 0.0), 1), InvalidArgument);
-  EXPECT_THROW(rls.restore(Matrix(3, 3), Vector(2, 0.0), 1), InvalidArgument);
-  Matrix bad(3, 3);
-  bad(0, 0) = std::nan("");
-  EXPECT_THROW(rls.restore(bad, Vector(3, 0.0), 1), InvalidArgument);
+  const Vector r = rls.r();  // the prior: 6 packed entries, diagonal at 0, 3, 5
+  const Vector z(3, 0.0);
+  EXPECT_NO_THROW(rls.restore(r, z, 0));
+  EXPECT_THROW(rls.restore(Vector(5, 1.0), z, 1), InvalidArgument);
+  EXPECT_THROW(rls.restore(r, Vector(2, 0.0), 1), InvalidArgument);
+  for (const double diagonal : {0.0, -1.0, std::nan("")}) {
+    Vector bad = r;
+    bad[3] = diagonal;
+    EXPECT_THROW(rls.restore(bad, z, 1), InvalidArgument) << diagonal;
+  }
+  Vector off_diagonal = r;
+  off_diagonal[1] = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(rls.restore(off_diagonal, z, 1), InvalidArgument);
+  Vector bad_z = z;
+  bad_z[2] = std::nan("");
+  EXPECT_THROW(rls.restore(r, bad_z, 1), InvalidArgument);
+}
+
+// The one legacy conversion: a (θ, P) body becomes evidence whose θ is the
+// stored one, and a P that is not positive definite is refused.
+TEST(Rls, CovarianceConversionKeepsThetaAndRejectsIndefiniteP) {
+  bw::Rng rng(71);
+  const std::size_t dim = 2;
+  const std::size_t p = dim + 1;
+  RecursiveLeastSquares trained(dim, 1e-6);
+  Matrix a(p, p);
+  for (std::size_t i = 0; i < p; ++i) a(i, i) = 1e-6;
+  for (int i = 0; i < 20; ++i) {
+    const std::vector<double> x = {rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)};
+    trained.update(x, rng.uniform(-5.0, 5.0));
+    const Vector xa = with_intercept(x);
+    for (std::size_t r = 0; r < p; ++r) {
+      for (std::size_t c = 0; c < p; ++c) a(r, c) += xa[r] * xa[c];
+    }
+  }
+  const Matrix covariance = factor_spd(a).inverse();
+  Vector r;
+  Vector z;
+  ASSERT_TRUE(RecursiveLeastSquares::information_from_covariance(
+      covariance, trained.theta(), r, z));
+  RecursiveLeastSquares restored(dim, 1e-6);
+  restored.restore(r, z, 20);
+  for (std::size_t i = 0; i < p; ++i) {
+    EXPECT_NEAR(restored.theta()[i], trained.theta()[i],
+                1e-12 * std::max(1.0, std::fabs(trained.theta()[i])));
+  }
+
+  Matrix indefinite = covariance;
+  indefinite(1, 1) = -indefinite(1, 1);
+  EXPECT_FALSE(RecursiveLeastSquares::information_from_covariance(
+      indefinite, trained.theta(), r, z));
+  EXPECT_FALSE(RecursiveLeastSquares::information_from_covariance(
+      Matrix(p, p), trained.theta(), r, z));
+  EXPECT_FALSE(RecursiveLeastSquares::information_from_covariance(
+      covariance, Vector(dim, 0.0), r, z));
 }
 
 // The shared [x; 1] helper is the single definition of the intercept

@@ -7,15 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <iomanip>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/banditware.hpp"
+#include "exact_ridge.hpp"
+#include "experiments/datasets.hpp"
 #include "hardware/catalog.hpp"
 #include "linalg/rls.hpp"
+#include "serve/bandit_server.hpp"
 
 namespace bw {
 namespace {
@@ -112,7 +119,8 @@ TEST(RlsMerge, EmptyAndOneSidedMergesAreExact) {
   linalg::RecursiveLeastSquares a = trained;
   a.merge(prior);
   EXPECT_EQ(a.theta(), trained.theta());
-  EXPECT_EQ(a.precision_inverse(), trained.precision_inverse());
+  EXPECT_EQ(a.r(), trained.r());
+  EXPECT_EQ(a.z(), trained.z());
   EXPECT_EQ(a.n_observations(), trained.n_observations());
 
   // empty ++ trained: adopts the trained statistics verbatim.
@@ -578,6 +586,100 @@ TEST(BanditWareMerge, MergedStateSurvivesSnapshotRoundTrip) {
   EXPECT_EQ(restored.save_state(), saved);
   const core::FeatureVector x = {2.0, 3.0};
   EXPECT_EQ(restored.predictions(x), merged.predictions(x));
+}
+
+// ---- the paper's matmul features in raw units ----------------------------
+// Exp. 3's table as the paper measures it: size up to 12 500 next to
+// sparsity in [0, 1] and value bounds of ±100, under the default prior
+// (ridge 1e-8). The Gram matrix spans sixteen orders of magnitude, which
+// is what the evidence's square-root form is for.
+
+/// `value` in scientific notation, for RecordProperty.
+std::string scientific(double value) {
+  std::ostringstream os;
+  os << std::scientific << std::setprecision(2) << value;
+  return os.str();
+}
+
+/// Largest relative gap between `predict(arm, x)` and the exact ridge
+/// solution of each arm's stream, over the table's contexts.
+template <typename Predict>
+double worst_relative_gap(const core::RunTable& table,
+                          const std::vector<testing::ExactRidge>& exact,
+                          std::size_t stride, Predict predict) {
+  double worst = 0.0;
+  for (core::ArmIndex arm = 0; arm < table.num_arms(); ++arm) {
+    const std::vector<long double> theta = exact[arm].theta();
+    for (std::size_t g = 0; g < table.num_groups(); g += stride) {
+      const core::FeatureVector x = table.features_of(g);
+      const long double want = testing::ExactRidge::predict(theta, x);
+      const long double gap = std::fabs(predict(arm, x) - want) / std::fabs(want);
+      worst = std::max(worst, static_cast<double>(gap));
+    }
+  }
+  return worst;
+}
+
+TEST(RawMatmulFeatures, NeverSyncedArmsTrackTheExactRidgeSolution) {
+  // The size-only view of Figs. 9-12, fed row by row to one learner; after
+  // every 50 observations each arm's predictions sit within 1e-9 of the
+  // exact solution of the rows it has seen.
+  const core::RunTable table = exp::build_matmul_dataset(1.0).size_only;
+  core::BanditWare bandit(table.catalog(), table.feature_names());
+  std::vector<testing::ExactRidge> exact(table.num_arms(),
+                                         testing::ExactRidge(1, 1e-8));
+  double worst = 0.0;
+  for (std::size_t g = 0; g < table.num_groups(); ++g) {
+    const core::FeatureVector x = table.features_of(g);
+    for (core::ArmIndex arm = 0; arm < table.num_arms(); ++arm) {
+      bandit.observe(arm, x, table.runtime(g, arm));
+      exact[arm].add(x, table.runtime(g, arm));
+    }
+    if ((g + 1) % 50 != 0 && g + 1 != table.num_groups()) continue;
+    const auto predict = [&](core::ArmIndex arm, const core::FeatureVector& x) {
+      return bandit.predictions(x)[arm];
+    };
+    worst = std::max(worst, worst_relative_gap(table, exact, 97, predict));
+  }
+  RecordProperty("worst_relative_gap", scientific(worst));
+  EXPECT_LT(worst, 1e-9);
+}
+
+TEST(RawMatmulFeatures, HundredsOfBaseSubtractingSyncsStayExact) {
+  // All four raw features through a 4-shard round-robin engine that syncs
+  // after every batch of 6 rows (420 base-subtracting syncs on the 2520-row
+  // table): no sync may throw, and the fused model must match the exact
+  // ridge solution of the whole stream.
+  for (const std::uint64_t seed : {7003u, 1u, 2u}) {
+    const core::RunTable table = exp::build_matmul_dataset(1.0, seed).table;
+    serve::BanditServerConfig config;
+    config.num_shards = 4;
+    config.sharding = serve::ShardingPolicy::kRoundRobin;
+    config.sync_every = 1;
+    serve::BanditServer server(table.catalog(), table.feature_names(), config);
+    std::vector<testing::ExactRidge> exact(
+        table.num_arms(), testing::ExactRidge(table.num_features(), 1e-8));
+    constexpr std::size_t kRowsPerBatch = 6;
+    for (std::size_t g0 = 0; g0 < table.num_groups(); g0 += kRowsPerBatch) {
+      std::vector<serve::ServeObservation> batch;
+      const std::size_t end = std::min(g0 + kRowsPerBatch, table.num_groups());
+      for (std::size_t g = g0; g < end; ++g) {
+        const core::FeatureVector x = table.features_of(g);
+        for (core::ArmIndex arm = 0; arm < table.num_arms(); ++arm) {
+          batch.push_back({g % config.num_shards, arm, x, table.runtime(g, arm)});
+          exact[arm].add(x, table.runtime(g, arm));
+        }
+      }
+      ASSERT_NO_THROW(server.observe_batch(batch)) << "seed " << seed << " row " << g0;
+    }
+    EXPECT_GE(server.sync_count(), 400u);
+    const double worst = worst_relative_gap(
+        table, exact, 13, [&](core::ArmIndex arm, const core::FeatureVector& x) {
+          return server.predictions(0, x)[arm];
+        });
+    RecordProperty("worst_relative_gap_seed_" + std::to_string(seed), scientific(worst));
+    EXPECT_LT(worst, 1e-9) << "seed " << seed;
+  }
 }
 
 }  // namespace

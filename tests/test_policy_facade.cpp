@@ -155,25 +155,30 @@ TEST(PolicyFacade, InterceptFreeConfigsFailAtConstruction) {
       "FleetNode");
 }
 
-TEST(PolicyFacade, SnapshotFormatSplitsByPolicyKind) {
-  // ε-greedy keeps the pre-policy-axis v2 bytes (no policy line at all);
-  // LinUCB/Thompson write the v3 superset with their kind + scalar.
+TEST(PolicyFacade, SnapshotFormatIsOneVersionForEveryPolicyKind) {
+  // Every kind writes v5: the lambda, ridge (the configured 1e-3) and
+  // policy lines always present, the policy line carrying the kind's
+  // scalar.
   core::BanditWare eps(hw::ndp_catalog(), {"f0", "f1"}, config_for(kAllKinds[0]));
   train(eps);
-  EXPECT_EQ(eps.save_state().rfind("banditware-state v2\n", 0), 0u);
-  EXPECT_EQ(eps.save_state().find("policy"), std::string::npos);
+  EXPECT_EQ(eps.save_state().rfind(
+                "banditware-state v5\nlambda 1\nridge 0.001\npolicy epsilon-greedy\n", 0),
+            0u);
 
   core::BanditWare ucb(hw::ndp_catalog(), {"f0", "f1"},
                        config_for(core::PolicyKind::kLinUcb));
   train(ucb);
-  EXPECT_EQ(ucb.save_state().rfind("banditware-state v3\npolicy linucb alpha 1.5\n", 0),
+  EXPECT_EQ(ucb.save_state().rfind("banditware-state v5\nlambda 1\nridge 0.001\npolicy "
+                                   "linucb alpha 1.5\n",
+                                   0),
             0u);
 
   core::BanditWare th(hw::ndp_catalog(), {"f0", "f1"},
                       config_for(core::PolicyKind::kThompson));
   train(th);
-  EXPECT_EQ(th.save_state().rfind(
-                "banditware-state v3\npolicy thompson posterior_scale 1.25\n", 0),
+  EXPECT_EQ(th.save_state().rfind("banditware-state v5\nlambda 1\nridge 0.001\npolicy "
+                                  "thompson posterior_scale 1.25\n",
+                                  0),
             0u);
 }
 
@@ -253,10 +258,7 @@ TEST(PolicyFacade, SyncedServingMatchesSingleStreamPerPolicy) {
     }
 
     const std::string saved = server.save_state();
-    const char* expected_header = kind == core::PolicyKind::kEpsilonGreedy
-                                      ? "banditserver-state v3\n"
-                                      : "banditserver-state v4\n";
-    EXPECT_EQ(saved.rfind(expected_header, 0), 0u) << core::to_string(kind);
+    EXPECT_EQ(saved.rfind("banditserver-state v6\n", 0), 0u) << core::to_string(kind);
     serve::BanditServer restored = serve::BanditServer::load_state(saved);
     EXPECT_EQ(restored.save_state(), saved) << core::to_string(kind);
     EXPECT_EQ(restored.config().bandit.policy_kind, kind);
@@ -308,6 +310,16 @@ TEST(PolicyFacade, StitchedServerPolicyHeaderIsRejected) {
                ParseError);
   EXPECT_THROW(serve::BanditServer::load_state(with_blob(
                    saved, "base", foreign(hw::synthetic_cycles_catalog(), {"mem_gb"}))),
+               ParseError);
+  // A shard trained under another ridge prior: fusing it with the others
+  // would be silently inexact.
+  core::BanditWareConfig other_ridge = config.bandit;
+  other_ridge.policy.fit.ridge = 1e-6;
+  EXPECT_THROW(serve::BanditServer::load_state(with_blob(
+                   saved, "shard 1",
+                   core::BanditWare(hw::synthetic_cycles_catalog(), {"num_tasks"},
+                                    other_ridge)
+                       .save_state())),
                ParseError);
   // The splice itself is sound: a blob of the engine's own shape loads.
   EXPECT_NO_THROW(serve::BanditServer::load_state(

@@ -621,7 +621,7 @@ TEST(BanditServer, SnapshotRoundTripCarriesSyncMode) {
   config.sync_mode = SyncMode::kAsync;
   BanditServer server(hw::ndp_catalog(), {"num_tasks"}, config);
   const std::string saved = server.save_state();
-  EXPECT_EQ(saved.rfind("banditserver-state v3\n", 0), 0u);
+  EXPECT_EQ(saved.rfind("banditserver-state v6\n", 0), 0u);
   BanditServer restored = BanditServer::load_state(saved);
   EXPECT_EQ(restored.config().sync_mode, SyncMode::kAsync);
   EXPECT_EQ(restored.config().sync_every, 3u);
@@ -646,13 +646,13 @@ TEST(BanditServer, LoadsLegacyV2ServerSnapshotsAsInlineMode) {
   EXPECT_EQ(restored.config().sync_mode, SyncMode::kInline);
   EXPECT_EQ(restored.config().sync_every, 2u);
   const std::string resaved = restored.save_state();
-  EXPECT_EQ(resaved.rfind("banditserver-state v3\n", 0), 0u);
+  EXPECT_EQ(resaved.rfind("banditserver-state v6\n", 0), 0u);
   EXPECT_EQ(BanditServer::load_state(resaved).save_state(), resaved);
 }
 
 TEST(BanditServer, LoadsLegacyV1SnapshotsWithPriorSyncBaseline) {
   // v1 snapshots predate cross-shard sync: no sync_every, no baseline blob.
-  // They must still load (baseline = untrained prior) and re-save as v2.
+  // They must still load (baseline = untrained prior) and re-save as v6.
   core::BanditWare replica(hw::ndp_catalog(), {"num_tasks"}, {});
   replica.observe(0, features_for(100.0), 55.0);
   replica.observe(2, features_for(200.0), 30.0);
@@ -670,7 +670,7 @@ TEST(BanditServer, LoadsLegacyV1SnapshotsWithPriorSyncBaseline) {
   EXPECT_EQ(restored.predictions(0, x), replica.predictions(x));
   // Re-saves in the current format, round-trippable as usual.
   const std::string resaved = restored.save_state();
-  EXPECT_EQ(resaved.rfind("banditserver-state v3\n", 0), 0u);
+  EXPECT_EQ(resaved.rfind("banditserver-state v6\n", 0), 0u);
   EXPECT_EQ(BanditServer::load_state(resaved).save_state(), resaved);
 }
 
@@ -713,6 +713,40 @@ TEST(BanditServer, SyncStateSurvivesSnapshotRoundTrip) {
   restored.observe_batch(more);
   EXPECT_EQ(restored.save_state(), server.save_state());
   EXPECT_EQ(restored.num_observations(), 24u);
+}
+
+TEST(BanditServer, SnapshotRoundTripKeepsTheRidgePrior) {
+  // The ridge prior is part of what the engine fuses with: a restored
+  // engine that fell back to the default prior would reject its own
+  // replicas' merges (or, fused across a fleet, be silently inexact).
+  BanditServerConfig config;
+  config.num_shards = 2;
+  config.sharding = ShardingPolicy::kRoundRobin;
+  config.sync_every = 1;
+  config.bandit.policy.fit.ridge = 1e-3;
+  BanditServer server(hw::ndp_catalog(), {"num_tasks"}, config);
+  const hw::HardwareCatalog catalog = hw::ndp_catalog();
+  auto make_batch = [&catalog](double base_tasks) {
+    std::vector<ServeObservation> observations;
+    for (int i = 0; i < 6; ++i) {
+      const double tasks = base_tasks + 7.0 * i;
+      observations.push_back({static_cast<std::size_t>(i % 2),
+                              static_cast<core::ArmIndex>(i % 3), features_for(tasks),
+                              synthetic_runtime(catalog[i % 3], tasks)});
+    }
+    return observations;
+  };
+  server.observe_batch(make_batch(40.0));
+  const std::string saved = server.save_state();
+  BanditServer restored = BanditServer::load_state(saved);
+  EXPECT_EQ(restored.config().bandit.policy.fit.ridge, 1e-3);
+  EXPECT_EQ(restored.save_state(), saved);
+  // Both keep syncing, to the same bytes.
+  const auto more = make_batch(75.0);
+  server.observe_batch(more);
+  restored.observe_batch(more);
+  EXPECT_EQ(restored.sync_count(), 1u);
+  EXPECT_EQ(restored.save_state(), server.save_state());
 }
 
 TEST(BanditServer, SaveStateIsAtomicUnderConcurrentWrites) {

@@ -361,6 +361,31 @@ TEST(SnapshotFuzz, HostileCountsFailWithoutAllocating) {
       "policy linucb alpha 1\n"
       "epsilon0 1 decay 0.99 tol_ratio 0 tol_seconds 0 exact_history 1\n"
       "epsilon 1\nfeatures 1 x\narms 1\narm H0 1 8 0 obs 1\n3 4\nend\n",
+      // A legacy (θ, P) record whose P is not positive definite has no
+      // information form: the RLS's conversion refuses it.
+      "banditware-state v2\n"
+      "epsilon0 1 decay 0.99 tol_ratio 0 tol_seconds 0 exact_history 0\n"
+      "epsilon 1\nfeatures 1 x\narms 1\n"
+      "arm H0 1 8 0 stats 1\ntheta 0 0\nP 1 2\nP 2 1\nend\n",
+      // Evidence whose R has a zero, negative or NaN diagonal is not a
+      // factor of any information matrix.
+      "banditware-state v5\nlambda 1\nridge 0\npolicy epsilon-greedy\n"
+      "epsilon0 1 decay 0.99 tol_ratio 0 tol_seconds 0\n"
+      "epsilon 1\nfeatures 1 x\narms 1\n"
+      "arm H0 1 8 0 stats 1\nz 1 1\nR 0 0\nR 1\nend\n",
+      "banditware-state v5\nlambda 1\nridge 0\npolicy epsilon-greedy\n"
+      "epsilon0 1 decay 0.99 tol_ratio 0 tol_seconds 0\n"
+      "epsilon 1\nfeatures 1 x\narms 1\n"
+      "arm H0 1 8 0 stats 1\nz 1 1\nR 1 0\nR -1\nend\n",
+      "banditware-state v5\nlambda 1\nridge 0\npolicy epsilon-greedy\n"
+      "epsilon0 1 decay 0.99 tol_ratio 0 tol_seconds 0\n"
+      "epsilon 1\nfeatures 1 x\narms 1\n"
+      "arm H0 1 8 0 stats 1\nz 1 1\nR nan 0\nR 1\nend\n",
+      // A ridge the RLS rejects.
+      "banditware-state v5\nlambda 1\nridge -1\npolicy epsilon-greedy\n"
+      "epsilon0 1 decay 0.99 tol_ratio 0 tol_seconds 0\n"
+      "epsilon 1\nfeatures 1 x\narms 1\n"
+      "arm H0 1 8 0 stats 0\nz 0 0\nR 1 0\nR 1\nend\n",
   };
   for (std::size_t i = 0; i < hostile.size(); ++i) {
     if (hostile[i].rfind("banditserver", 0) == 0) {
@@ -633,7 +658,8 @@ std::string fleet_header_payload(std::uint8_t policy_token, double alpha,
 constexpr std::uint8_t kFzEps =
     static_cast<std::uint8_t>(core::PolicyKind::kEpsilonGreedy);
 
-/// One (arm, n, θ, P) entry for dim_aug = 2 (1 feature + intercept).
+/// One wire-v1 (arm, n, θ, P) entry for dim_aug = 2 (1 feature +
+/// intercept).
 std::string fleet_arm_entry(std::uint32_t arm, std::uint64_t n, double value) {
   std::string p;
   io::put_u32(p, arm);
@@ -644,6 +670,20 @@ std::string fleet_arm_entry(std::uint32_t arm, std::uint64_t n, double value) {
   io::put_f64(p, 0.0);    // P(0,1)
   io::put_f64(p, 0.0);    // P(1,0)
   io::put_f64(p, value);  // P(1,1)
+  return p;
+}
+
+/// One wire-v2 (arm, n, R, z) entry for dim_aug = 2: R = diag(d, d),
+/// z = (1, 1).
+std::string fleet_evidence_entry(std::uint32_t arm, std::uint64_t n, double diagonal) {
+  std::string p;
+  io::put_u32(p, arm);
+  io::put_u64(p, n);
+  io::put_f64(p, diagonal);  // R(0,0)
+  io::put_f64(p, 0.0);       // R(0,1)
+  io::put_f64(p, diagonal);  // R(1,1)
+  io::put_f64(p, 1.0);       // z[0]
+  io::put_f64(p, 1.0);       // z[1]
   return p;
 }
 
@@ -720,6 +760,16 @@ TEST(SnapshotFuzz, HostileFleetPacketsFailWithoutAllocating) {
        {kFzOriginBlock, fleet_origin_payload(2, 1, 1, fleet_arm_entry(0, 4, inf))}},
       {{kFzDeltaHeader, header},
        {kFzOriginBlock, fleet_origin_payload(2, 1, 1, fleet_arm_entry(0, 4, nan))}},
+      // A version-1 P that is not positive definite; version-2 evidence
+      // whose R has a zero, negative or NaN diagonal.
+      {{kFzDeltaHeader, header},
+       {kFzOriginBlock, fleet_origin_payload(2, 1, 1, fleet_arm_entry(0, 4, -2.0))}},
+      {{kFzDeltaHeader, fleet_header_payload(kFzEps, 1.5, 1.0, 1, 3, 2)},
+       {kFzOriginBlock, fleet_origin_payload(2, 1, 1, fleet_evidence_entry(0, 4, 0.0))}},
+      {{kFzDeltaHeader, fleet_header_payload(kFzEps, 1.5, 1.0, 1, 3, 2)},
+       {kFzOriginBlock, fleet_origin_payload(2, 1, 1, fleet_evidence_entry(0, 4, -1.0))}},
+      {{kFzDeltaHeader, fleet_header_payload(kFzEps, 1.5, 1.0, 1, 3, 2)},
+       {kFzOriginBlock, fleet_origin_payload(2, 1, 1, fleet_evidence_entry(0, 4, nan))}},
       // Version-vector pathologies: hostile origin count with no bytes
       // behind it, truncated entry bytes, duplicate origin, per-arm count
       // above the ceiling, duplicate vv packet.

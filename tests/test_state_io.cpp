@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -337,21 +338,30 @@ TEST(StateIo, MismatchedPayloadKindsAreRejected) {
   EXPECT_THROW(io::read_run_table(not_a_table), ParseError);
 }
 
-// ---- discount (lambda) supersets -----------------------------------------
+// ---- fit packets (λ and the ridge) ---------------------------------------
 
-/// One framed lambda extension packet (`type` 0x04 bandit / 0x13 server).
-std::string lambda_packet(std::uint8_t type, double lambda) {
+/// One framed fit packet (`type` 0x04 bandit / 0x13 server): λ, then the
+/// ridge. Without a ridge it is the λ-only packet older writers emitted.
+std::string fit_packet(std::uint8_t type, double lambda,
+                       std::optional<double> ridge = std::nullopt) {
   std::string payload;
   io::put_f64(payload, lambda);
+  if (ridge) io::put_f64(payload, *ridge);
   std::ostringstream os(std::ios::binary);
   io::write_packet(os, type, payload);
   return os.str();
 }
 
+/// `blob` with packet `index` (1-based, as in packet_ends) replaced.
+std::string replace_packet(const std::string& blob, std::size_t index,
+                           const std::string& packet) {
+  const std::vector<std::size_t> ends = packet_ends(blob);
+  return blob.substr(0, ends[index - 1]) + packet + blob.substr(ends[index]);
+}
+
 TEST(StateIo, DiscountedStateRoundTripsBothFormats) {
-  // λ = 0.5 (exactly representable, prints without a decimal tail). The
-  // text side is the v4 superset; the binary side carries the 0x04
-  // extension packet. Both must round-trip bit-exact and agree.
+  // λ = 0.5 (exactly representable, prints without a decimal tail). Both
+  // encodings must round-trip bit-exact and agree.
   const core::PolicyKind kinds[] = {core::PolicyKind::kEpsilonGreedy,
                                     core::PolicyKind::kLinUcb,
                                     core::PolicyKind::kThompson};
@@ -359,13 +369,13 @@ TEST(StateIo, DiscountedStateRoundTripsBothFormats) {
     const core::BanditWare original =
         trained_instance(kind, /*forgetting=*/0.5);
     const std::string text = save_as(original, io::Format::kText);
-    EXPECT_EQ(text.rfind("banditware-state v4\nlambda 0.5\n", 0), 0u)
+    EXPECT_EQ(text.rfind("banditware-state v5\nlambda 0.5\nridge 0\n", 0), 0u)
         << core::to_string(kind);
     const std::string binary = save_as(original, io::Format::kBinary);
 
     io::LoadInfo info;
     const core::BanditWare from_text = load_bandit(text, &info);
-    EXPECT_EQ(info.version, 4);
+    EXPECT_EQ(info.version, 5);
     EXPECT_EQ(from_text.config().policy.fit.forgetting, 0.5);
     EXPECT_EQ(save_as(from_text, io::Format::kText), text);
 
@@ -380,13 +390,13 @@ TEST(StateIo, DiscountedServerRoundTripsBothFormats) {
   const serve::BanditServer original =
       trained_server(core::PolicyKind::kLinUcb, /*forgetting=*/0.5);
   const std::string text = save_as(original, io::Format::kText);
-  EXPECT_EQ(text.rfind("banditserver-state v5\n", 0), 0u);
-  EXPECT_NE(text.find(" lambda 0.5 "), std::string::npos);
+  EXPECT_EQ(text.rfind("banditserver-state v6\n", 0), 0u);
+  EXPECT_NE(text.find(" lambda 0.5 ridge 0 policy linucb "), std::string::npos);
   const std::string binary = save_as(original, io::Format::kBinary);
 
   io::LoadInfo info;
   const serve::BanditServer from_text = load_server(text, &info);
-  EXPECT_EQ(info.version, 5);
+  EXPECT_EQ(info.version, 6);
   EXPECT_EQ(from_text.config().bandit.policy.fit.forgetting, 0.5);
   EXPECT_EQ(save_as(from_text, io::Format::kText), text);
 
@@ -396,36 +406,50 @@ TEST(StateIo, DiscountedServerRoundTripsBothFormats) {
   EXPECT_EQ(save_as(from_binary, io::Format::kText), text);
 }
 
-TEST(StateIo, StationarySnapshotsCarryNoLambdaAndLoadAsLambdaOne) {
-  // λ = 1 must write the legacy formats byte-for-byte — no v4/v5 bump, no
-  // extension packet — and every legacy snapshot loads as λ = 1.
+TEST(StateIo, StationarySnapshotsWriteLambdaOneAndLegacyLoadsAsLambdaOne) {
+  // One written shape whatever λ is: a stationary instance writes λ = 1 and
+  // its ridge like any other, in both encodings.
   const core::BanditWare bandit = trained_instance(core::PolicyKind::kEpsilonGreedy);
   const std::string text = save_as(bandit, io::Format::kText);
-  EXPECT_EQ(text.find("lambda"), std::string::npos);
+  EXPECT_EQ(text.rfind("banditware-state v5\nlambda 1\nridge 0\n", 0), 0u);
   EXPECT_EQ(load_bandit(text).config().policy.fit.forgetting, 1.0);
-  EXPECT_EQ(load_bandit(save_as(bandit, io::Format::kBinary))
-                .config()
-                .policy.fit.forgetting,
-            1.0);
+  const std::string binary = save_as(bandit, io::Format::kBinary);
+  EXPECT_EQ(binary.substr(packet_ends(binary)[0], 12 + 16),
+            fit_packet(0x04, 1.0, 0.0));
+  EXPECT_EQ(load_bandit(binary).config().policy.fit.forgetting, 1.0);
 
   const serve::BanditServer server = trained_server();
-  EXPECT_EQ(save_as(server, io::Format::kText).find("lambda"), std::string::npos);
+  EXPECT_NE(save_as(server, io::Format::kText).find(" lambda 1 ridge 0 "),
+            std::string::npos);
   EXPECT_EQ(load_server(save_as(server, io::Format::kBinary))
                 .config()
                 .bandit.policy.fit.forgetting,
             1.0);
+
+  // A blob without a fit packet (every stationary binary writer before the
+  // discount) loads as λ = 1 with the default ridge.
+  const std::string no_fit = replace_packet(binary, 1, "");
+  const core::BanditWare legacy = load_bandit(no_fit);
+  EXPECT_EQ(legacy.config().policy.fit.forgetting, 1.0);
+  EXPECT_EQ(legacy.config().policy.fit.ridge, 0.0);
+  EXPECT_EQ(save_as(legacy, io::Format::kBinary), binary);
 }
 
-TEST(StateIo, BinaryLambdaPacketBeforeHeaderAppliesToTheModel) {
-  // The writer's contract (lambda packet between magic and header) from the
-  // reader's side: splicing a 0x04 packet into a stationary blob's preamble
-  // yields a discounted model.
+TEST(StateIo, BinaryFitPacketBeforeHeaderAppliesToTheModel) {
+  // The writer's contract (the fit packet between magic and header) from
+  // the reader's side: a fit packet spliced over a stationary blob's own
+  // yields the discounted model it names, and the λ-only packet older
+  // writers emitted loads with the default ridge.
   const std::string binary =
       save_as(trained_instance(core::PolicyKind::kEpsilonGreedy), io::Format::kBinary);
-  const std::vector<std::size_t> ends = packet_ends(binary);
-  const std::string spliced =
-      binary.substr(0, ends[0]) + lambda_packet(0x04, 0.5) + binary.substr(ends[0]);
-  EXPECT_EQ(load_bandit(spliced).config().policy.fit.forgetting, 0.5);
+  const core::BanditWare discounted =
+      load_bandit(replace_packet(binary, 1, fit_packet(0x04, 0.5, 1e-3)));
+  EXPECT_EQ(discounted.config().policy.fit.forgetting, 0.5);
+  EXPECT_EQ(discounted.config().policy.fit.ridge, 1e-3);
+  const core::BanditWare legacy =
+      load_bandit(replace_packet(binary, 1, fit_packet(0x04, 0.5)));
+  EXPECT_EQ(legacy.config().policy.fit.forgetting, 0.5);
+  EXPECT_EQ(legacy.config().policy.fit.ridge, 0.0);
 }
 
 TEST(StateIo, HostileLambdaPacketsAreCleanParseErrors) {
@@ -435,34 +459,43 @@ TEST(StateIo, HostileLambdaPacketsAreCleanParseErrors) {
   const auto splice_at = [&](std::size_t pos, const std::string& packet) {
     return binary.substr(0, pos) + packet + binary.substr(pos);
   };
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  // Out-of-range or non-finite discounts.
-  for (const double bad : {1.5, 0.0, -0.25,
-                           std::numeric_limits<double>::quiet_NaN(),
-                           std::numeric_limits<double>::infinity()}) {
-    EXPECT_THROW(load_bandit(splice_at(ends[0], lambda_packet(0x04, bad))), ParseError)
+  // Out-of-range or non-finite discounts, in the fit packet and in the
+  // λ-only packet older writers emitted.
+  for (const double bad : {1.5, 0.0, -0.25, kNaN, kInf}) {
+    EXPECT_THROW(load_bandit(replace_packet(binary, 1, fit_packet(0x04, bad, 0.0))),
+                 ParseError)
+        << bad;
+    EXPECT_THROW(load_bandit(replace_packet(binary, 1, fit_packet(0x04, bad))),
+                 ParseError)
         << bad;
   }
-  // A lambda packet after the header came from no writer we ever shipped.
-  EXPECT_THROW(load_bandit(splice_at(ends[1], lambda_packet(0x04, 0.5))), ParseError);
-  // Two lambda packets are ambiguous.
-  EXPECT_THROW(
-      load_bandit(splice_at(ends[0], lambda_packet(0x04, 0.5) + lambda_packet(0x04, 0.5))),
-      ParseError);
+  // Ridges the RLS rejects (0 is the default prior, not a ridge).
+  for (const double bad : {-1e-3, kNaN, kInf}) {
+    EXPECT_THROW(load_bandit(replace_packet(binary, 1, fit_packet(0x04, 1.0, bad))),
+                 ParseError)
+        << bad;
+  }
+  // A fit packet after the header came from no writer we ever shipped.
+  EXPECT_THROW(load_bandit(splice_at(ends[2], fit_packet(0x04, 0.5, 0.0))), ParseError);
+  // Two fit packets are ambiguous.
+  EXPECT_THROW(load_bandit(splice_at(ends[0], fit_packet(0x04, 1.0, 0.0))), ParseError);
   // Raw rows were only ever written at λ = 1: a lambda packet ahead of a
   // row-carrying header is corrupt.
   const std::string rows = rows_fixture();
   const std::size_t rows_preamble = packet_ends(rows)[0];
-  EXPECT_THROW(load_bandit(rows.substr(0, rows_preamble) + lambda_packet(0x04, 0.5) +
+  EXPECT_THROW(load_bandit(rows.substr(0, rows_preamble) + fit_packet(0x04, 0.5) +
                            rows.substr(rows_preamble)),
                ParseError);
 
-  // Server side: a 0x13 header-lambda packet over stationary shard blobs is
-  // a contradiction (every shard blob still says λ = 1).
+  // Server side: a 0x13 fit packet naming λ or a ridge the shard blobs do
+  // not carry is a contradiction.
   const std::string server_binary = save_as(trained_server(), io::Format::kBinary);
-  const std::size_t preamble = sizeof(io::kMagic) + 1;
-  EXPECT_THROW(load_server(server_binary.substr(0, preamble) +
-                           lambda_packet(0x13, 0.5) + server_binary.substr(preamble)),
+  EXPECT_THROW(load_server(replace_packet(server_binary, 1, fit_packet(0x13, 0.5, 0.0))),
+               ParseError);
+  EXPECT_THROW(load_server(replace_packet(server_binary, 1, fit_packet(0x13, 1.0, 1e-3))),
                ParseError);
 }
 
@@ -472,14 +505,14 @@ TEST(StateIo, TruncatedBinaryLoadsUpToLastCompletePacket) {
   const core::BanditWare original = trained_instance(core::PolicyKind::kEpsilonGreedy);
   const std::string binary = save_as(original, io::Format::kBinary);
   const std::vector<std::size_t> ends = packet_ends(binary);
-  // header + 3 arm packets + end sentinel => 5 packets.
-  ASSERT_EQ(ends.size(), 6u);
+  // fit + header + 3 arm packets + end sentinel => 6 packets.
+  ASSERT_EQ(ends.size(), 7u);
   const core::BanditWareStats full = original.export_stats();
 
   // Cut after the header packet: the shape survives, all arms at the prior.
   {
     io::LoadInfo info;
-    const core::BanditWare loaded = load_bandit(binary.substr(0, ends[1]), &info);
+    const core::BanditWare loaded = load_bandit(binary.substr(0, ends[2]), &info);
     EXPECT_TRUE(info.truncated);
     EXPECT_EQ(loaded.num_arms(), original.num_arms());
     EXPECT_EQ(loaded.num_observations(), 0u);
@@ -488,11 +521,12 @@ TEST(StateIo, TruncatedBinaryLoadsUpToLastCompletePacket) {
   // Cut after header + first arm packet: arm 0 fully restored, bit-exact.
   {
     io::LoadInfo info;
-    const core::BanditWare loaded = load_bandit(binary.substr(0, ends[2]), &info);
+    const core::BanditWare loaded = load_bandit(binary.substr(0, ends[3]), &info);
     EXPECT_TRUE(info.truncated);
     const core::BanditWareStats stats = loaded.export_stats();
     EXPECT_EQ(stats.arms[0].n, full.arms[0].n);
-    EXPECT_EQ(stats.arms[0].theta, full.arms[0].theta);
+    EXPECT_EQ(stats.arms[0].r, full.arms[0].r);
+    EXPECT_EQ(stats.arms[0].z, full.arms[0].z);
     EXPECT_EQ(stats.arms[1].n, 0u);
     EXPECT_EQ(stats.arms[2].n, 0u);
   }
@@ -519,9 +553,9 @@ TEST(StateIo, TruncatedBinaryLoadsUpToLastCompletePacket) {
       io::LoadInfo info;
       load_bandit(binary.substr(0, cut), &info);
       EXPECT_TRUE(info.truncated) << "cut " << cut;
-      EXPECT_GE(cut, ends[1]) << "loaded without a complete header, cut " << cut;
+      EXPECT_GE(cut, ends[2]) << "loaded without a complete header, cut " << cut;
     } catch (const ParseError&) {
-      EXPECT_LT(cut, ends[1]) << "complete header must load, cut " << cut;
+      EXPECT_LT(cut, ends[2]) << "complete header must load, cut " << cut;
     }
   }
 }
@@ -535,7 +569,7 @@ TEST(StateIo, CorruptedChecksumStopsTheStreamAtTheCorruption) {
   // load; arms 1 and 2 stop at the failed checksum.
   {
     std::string corrupted = binary;
-    corrupted[ends[2] + 20] ^= 0x40;
+    corrupted[ends[3] + 20] ^= 0x40;
     io::LoadInfo info;
     const core::BanditWare loaded = load_bandit(corrupted, &info);
     EXPECT_TRUE(info.truncated);
@@ -547,7 +581,7 @@ TEST(StateIo, CorruptedChecksumStopsTheStreamAtTheCorruption) {
   // so the load fails with the documented ParseError.
   {
     std::string corrupted = binary;
-    corrupted[ends[0] + 16] ^= 0x01;
+    corrupted[ends[1] + 16] ^= 0x01;
     EXPECT_THROW(load_bandit(corrupted), ParseError);
   }
   // Torn server snapshot: cut after the first shard blob packet. The engine
@@ -558,7 +592,7 @@ TEST(StateIo, CorruptedChecksumStopsTheStreamAtTheCorruption) {
     const std::vector<std::size_t> server_ends = packet_ends(server_binary);
     io::LoadInfo info;
     serve::BanditServer loaded =
-        load_server(server_binary.substr(0, server_ends[2]), &info);
+        load_server(server_binary.substr(0, server_ends[3]), &info);
     EXPECT_TRUE(info.truncated);
     EXPECT_EQ(loaded.num_shards(), server.num_shards());
     const std::vector<std::size_t> counts = loaded.shard_observation_counts();
@@ -618,6 +652,49 @@ TEST(StateIo, HostileBinaryCountsFailWithoutAllocating) {
     EXPECT_THROW(load_bandit(hostile[i]), ParseError) << i;
   }
 
+  // Arm packets whose evidence the RLS refuses: an evidence packet (0x05)
+  // whose R has a zero, negative or NaN diagonal, and a legacy (θ, P)
+  // packet (0x02) whose P is not positive definite.
+  {
+    const core::BanditWare bandit = trained_instance(core::PolicyKind::kEpsilonGreedy);
+    const std::string binary = save_as(bandit, io::Format::kBinary);
+    const std::vector<std::size_t> ends = packet_ends(binary);
+    // preamble, fit, header, arm 0, ...: arm 0's payload follows its frame.
+    const std::string arm0 = binary.substr(ends[2] + 12, ends[3] - ends[2] - 12);
+    const auto with_arm0 = [&](std::uint8_t type, const std::string& payload) {
+      std::ostringstream os(std::ios::binary);
+      os << binary.substr(0, ends[2]);
+      io::write_packet(os, type, payload);
+      os << binary.substr(ends[3]);
+      return os.str();
+    };
+    for (const double diagonal : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+      std::string payload = arm0;
+      std::string bits;
+      io::put_f64(bits, diagonal);
+      payload.replace(4 + 8, 8, bits);  // arm u32, n u64, then R(0, 0)
+      EXPECT_THROW(load_bandit(with_arm0(0x05, payload)), ParseError) << diagonal;
+    }
+    const std::size_t dim_aug = bandit.feature_names().size() + 1;
+    std::string legacy;
+    io::put_u32(legacy, 0);
+    io::put_u64(legacy, 3);
+    for (std::size_t i = 0; i < dim_aug; ++i) io::put_f64(legacy, 0.0);  // θ
+    for (std::size_t r = 0; r < dim_aug; ++r) {
+      for (std::size_t c = 0; c < dim_aug; ++c) io::put_f64(legacy, r == c ? -1.0 : 0.0);
+    }
+    EXPECT_THROW(load_bandit(with_arm0(0x02, legacy)), ParseError);
+    // The same packet with P = I loads: the rejection is the P, not the framing.
+    std::string identity;
+    io::put_u32(identity, 0);
+    io::put_u64(identity, 3);
+    for (std::size_t i = 0; i < dim_aug; ++i) io::put_f64(identity, 0.0);
+    for (std::size_t r = 0; r < dim_aug; ++r) {
+      for (std::size_t c = 0; c < dim_aug; ++c) io::put_f64(identity, r == c ? 1.0 : 0.0);
+    }
+    EXPECT_NO_THROW(load_bandit(with_arm0(0x02, identity)));
+  }
+
   // The server header's catalog goes through the same constructor check.
   {
     std::string header;
@@ -643,17 +720,17 @@ TEST(StateIo, HostileBinaryCountsFailWithoutAllocating) {
   {
     const serve::BanditServer server = trained_server();
     const std::string binary = save_as(server, io::Format::kBinary);
-    // preamble, header, shard 0, shard 1, base, end
+    // preamble, fit, header, shard 0, shard 1, base, end
     const std::vector<std::size_t> ends = packet_ends(binary);
-    ASSERT_EQ(ends.size(), 6u);
+    ASSERT_EQ(ends.size(), 7u);
     const auto with_base = [&](hw::HardwareCatalog catalog,
                                std::vector<std::string> features) {
       const core::BanditWare base(std::move(catalog), std::move(features),
                                   server.config().bandit);
       std::ostringstream os(std::ios::binary);
-      os << binary.substr(0, ends[3]);
+      os << binary.substr(0, ends[4]);
       io::write_packet(os, 0x12, save_as(base, io::Format::kBinary));
-      os << binary.substr(ends[4]);
+      os << binary.substr(ends[5]);
       return os.str();
     };
     EXPECT_THROW(load_server(with_base(hw::synthetic_cycles_catalog(), {"num_tasks"})),
