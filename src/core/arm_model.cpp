@@ -36,12 +36,22 @@ void LinearArmModel::merge(const LinearArmModel& other, const LinearArmModel* ba
   rls_.merge(other.rls_, base != nullptr ? &base->rls_ : nullptr);
 }
 
+void LinearArmModel::merge(const ArmStats& other) {
+  rls_.merge(other.r, other.z, other.n);
+}
+
 void LinearArmModel::restore_stats(const ArmStats& stats) {
   rls_.restore(stats.r, stats.z, stats.n);
 }
 
 ArmStats LinearArmModel::export_stats() const {
   return ArmStats{rls_.r(), rls_.z(), rls_.n_observations()};
+}
+
+void LinearArmModel::export_stats(ArmStats& out) const {
+  out.r = rls_.r();
+  out.z = rls_.z();
+  out.n = rls_.n_observations();
 }
 
 double LinearArmModel::predict(std::span<const double> x) const {

@@ -65,6 +65,8 @@ class LinearArmModel {
 
   /// Copies out the evidence — O(d^2), no text serialization.
   ArmStats export_stats() const;
+  /// The same copy into `out`, reusing its storage.
+  void export_stats(ArmStats& out) const;
 
   /// Folds another arm's evidence into this one by fusing sufficient
   /// statistics (RLS::merge — exact under the shared ridge). With `base`
@@ -73,6 +75,9 @@ class LinearArmModel {
   /// merged, so repeated syncs never double-count. Dimension, ridge and
   /// forgetting factor must match.
   void merge(const LinearArmModel& other, const LinearArmModel* base = nullptr);
+  /// merge(other) with no base, `other` given as the evidence an arm of
+  /// this model's shape exported (RLS::merge's evidence form).
+  void merge(const ArmStats& other);
 
   void reset();
 

@@ -204,11 +204,18 @@ BanditWare BanditWare::from_stats(const hw::HardwareCatalog& catalog,
   BW_CHECK_MSG(stats.arms.size() == catalog.size(),
                "from_stats: arm count does not match the catalog");
   BanditWare restored(catalog, feature_names, config);
-  for (ArmIndex arm = 0; arm < restored.num_arms(); ++arm) {
-    restored.banked().bank().restore_arm(arm, stats.arms[arm]);
-  }
-  if (auto* eps = restored.eps_greedy()) eps->set_epsilon(stats.epsilon);
+  restored.restore_stats(stats, std::vector<bool>(catalog.size(), true));
   return restored;
+}
+
+void BanditWare::restore_stats(const BanditWareStats& stats,
+                               const std::vector<bool>& arms) {
+  BW_CHECK_MSG(stats.arms.size() == num_arms() && arms.size() == num_arms(),
+               "restore_stats: arm count does not match the catalog");
+  for (ArmIndex arm = 0; arm < num_arms(); ++arm) {
+    if (arms[arm]) banked().bank().restore_arm(arm, stats.arms[arm]);
+  }
+  if (auto* eps = eps_greedy()) eps->set_epsilon(stats.epsilon);
 }
 
 std::shared_ptr<const FrozenModel> BanditWare::freeze(std::uint64_t epoch) const {

@@ -123,6 +123,13 @@ class BanditWare {
                                const BanditWareConfig& config,
                                const BanditWareStats& stats);
 
+  /// from_stats in place: reinstates ε (ε-greedy only) and the evidence of
+  /// every arm `arms` flags, refreshing those arms' plane columns; every
+  /// other arm keeps its evidence and column bit for bit. Allocates nothing.
+  /// Throws InvalidArgument on an arm-count mismatch, or when a flagged
+  /// arm's evidence is invalid — arms before it are then already restored.
+  void restore_stats(const BanditWareStats& stats, const std::vector<bool>& arms);
+
   /// Immutable snapshot of the greedy serving surface (core/frozen_model.hpp)
   /// — what the serve layer publishes per shard, behind an epoch its reader
   /// threads' caches revalidate against, so pure-exploitation recommends

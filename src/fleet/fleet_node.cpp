@@ -65,7 +65,7 @@ void FleetNode::observe_batch(
     core::ArmStats& slot = slots[obs.arm];
     learner_.restore_stats(slot);
     learner_.observe(obs.x, obs.runtime_s);
-    slot = learner_.export_stats();
+    learner_.export_stats(slot);
     dirty_[obs.arm] = true;
   }
 }
@@ -184,20 +184,15 @@ std::pair<std::size_t, std::size_t> FleetNode::fold_origin(
   return {applied, stale};
 }
 
-core::ArmStats FleetNode::fold_arm(std::size_t arm) const {
+void FleetNode::fold_arm(std::size_t arm, core::LinearArmModel& fused) const {
   // No base: each origin slot carries the shared ridge prior once, and the
   // merge keeps exactly one copy — the fold over origins in ascending key
   // order is the canonical single-learner concatenation.
-  const linalg::FitOptions& fit = server_.config().bandit.policy.fit;
-  core::LinearArmModel fused(learner_.dim(), fit);
-  core::LinearArmModel origin(learner_.dim(), fit);
+  fused.reset();
   for (const auto& [key, arms] : origins_) {
     const core::ArmStats& slot = arms[arm];
-    if (slot.n == 0) continue;
-    origin.restore_stats(slot);
-    fused.merge(origin);
+    if (slot.n != 0) fused.merge(slot);
   }
-  return fused.export_stats();
 }
 
 double FleetNode::fold_epsilon() const {
@@ -222,11 +217,13 @@ double FleetNode::fold_epsilon() const {
 }
 
 core::BanditWare FleetNode::fused_model() const {
+  core::LinearArmModel fused(learner_.dim(), server_.config().bandit.policy.fit);
   core::BanditWareStats stats;
   stats.epsilon = fold_epsilon();
-  stats.arms.reserve(server_.catalog().size());
-  for (std::size_t arm = 0; arm < server_.catalog().size(); ++arm) {
-    stats.arms.push_back(fold_arm(arm));
+  stats.arms.resize(server_.catalog().size());
+  for (std::size_t arm = 0; arm < stats.arms.size(); ++arm) {
+    fold_arm(arm, fused);
+    fused.export_stats(stats.arms[arm]);
   }
   return core::BanditWare::from_stats(server_.catalog(), server_.feature_names(),
                                       server_.config().bandit, stats);
@@ -234,11 +231,12 @@ core::BanditWare FleetNode::fused_model() const {
 
 void FleetNode::rebuild_from_origins() {
   for (std::size_t arm = 0; arm < dirty_.size(); ++arm) {
-    if (dirty_[arm]) fused_.arms[arm] = fold_arm(arm);
+    if (!dirty_[arm]) continue;
+    fold_arm(arm, learner_);
+    learner_.export_stats(fused_.arms[arm]);
   }
   fused_.epsilon = fold_epsilon();
-  server_.adopt_model(core::BanditWare::from_stats(
-      server_.catalog(), server_.feature_names(), server_.config().bandit, fused_));
+  server_.adopt_stats(fused_, dirty_);
   std::fill(dirty_.begin(), dirty_.end(), false);
 }
 

@@ -117,12 +117,13 @@ class FleetNode {
   /// exactly what the engine serves after a rebuild.
   core::BanditWare fused_model() const;
 
-  /// Refolds the dirty arms, then makes the engine adopt the canonical
-  /// fold (a copy per shard plus one freeze each). apply_delta runs this
-  /// automatically; exposed for harnesses that batch several applies
-  /// before paying the rebuild. The dirty marks clear only once the
-  /// engine has adopted the result, so a rebuild that throws leaves them
-  /// for the next one.
+  /// Refolds the dirty arms, then makes the engine adopt them in place
+  /// (BanditServer::adopt_stats): each shard and the sync baseline restore
+  /// only the refolded arms' evidence and ε, and each shard republishes
+  /// once. apply_delta runs this automatically; exposed for harnesses that
+  /// batch several applies before paying the rebuild. The dirty marks
+  /// clear only once the engine has adopted the result, so a rebuild that
+  /// throws leaves them for the next one.
   void rebuild_from_origins();
 
   /// Per-origin per-arm counts of everything this node holds.
@@ -151,10 +152,12 @@ class FleetNode {
   std::pair<std::size_t, std::size_t> fold_origin(
       const FleetOriginKey& origin, const std::vector<io::FleetArmEntry>& entries);
 
-  /// One arm of the canonical fold: a fresh prior arm merged with every
-  /// origin's slot for `arm` in ascending key order. Slots with n == 0
-  /// are skipped — merging a bare prior is an exact no-op.
-  core::ArmStats fold_arm(std::size_t arm) const;
+  /// One arm of the canonical fold, computed in `fused` (an arm of the
+  /// learner's shape): reset to the prior, then merged with every origin's
+  /// slot for `arm` in ascending key order, straight from the slot's
+  /// evidence. Slots with n == 0 are skipped — merging a bare prior is an
+  /// exact no-op. Allocates nothing.
+  void fold_arm(std::size_t arm, core::LinearArmModel& fused) const;
 
   /// The canonical fold's ε-greedy scalar (0 for the other policies): the
   /// chain merge_from applies, over every origin holding evidence.
@@ -167,9 +170,9 @@ class FleetNode {
   serve::BanditServer server_;
   /// The config envelope this node stamps on and demands from every message.
   io::FleetWireConfig wire_config_;
-  /// Scratch arm for local feedback: each observation restores the
-  /// self-origin slot into it, observes, and exports back — the same
-  /// statistics a dedicated single learner would hold, bit for bit.
+  /// Scratch arm. Local feedback restores the self-origin slot into it,
+  /// observes, and exports back — the same statistics a dedicated single
+  /// learner would hold, bit for bit; a rebuild folds each dirty arm in it.
   core::LinearArmModel learner_;
   /// Prior-state template: origin slots start as copies so absent arms
   /// carry exactly the shared ridge prior.

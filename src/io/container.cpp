@@ -108,6 +108,16 @@ void put_f64_array(std::string& out, const double* values, std::size_t count) {
   }
 }
 
+void put_u64_array(std::string& out, const std::uint64_t* values, std::size_t count) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const std::size_t old = out.size();
+    out.resize(old + count * sizeof(std::uint64_t));
+    std::memcpy(out.data() + old, values, count * sizeof(std::uint64_t));
+  } else {
+    for (std::size_t i = 0; i < count; ++i) put_u64(out, values[i]);
+  }
+}
+
 void PayloadReader::need(std::size_t bytes) const {
   if (payload_.size() - pos_ < bytes) fail("truncated packet payload");
 }
@@ -156,6 +166,16 @@ void PayloadReader::get_f64_array(double* values, std::size_t count) {
     pos_ += count * sizeof(double);
   } else {
     for (std::size_t i = 0; i < count; ++i) values[i] = get_f64();
+  }
+}
+
+void PayloadReader::get_u64_array(std::uint64_t* values, std::size_t count) {
+  need(count * sizeof(std::uint64_t));
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(values, payload_.data() + pos_, count * sizeof(std::uint64_t));
+    pos_ += count * sizeof(std::uint64_t);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) values[i] = get_u64();
   }
 }
 

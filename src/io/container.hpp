@@ -76,6 +76,8 @@ void put_f64(std::string& out, double v);
 void put_string(std::string& out, const std::string& s);
 /// Bulk doubles: one memcpy on little-endian hosts.
 void put_f64_array(std::string& out, const double* values, std::size_t count);
+/// Bulk u64s, the same way.
+void put_u64_array(std::string& out, const std::uint64_t* values, std::size_t count);
 
 /// Sequential reader over one packet's payload. Every get_* checks bounds
 /// and throws ParseError("truncated packet payload") on overrun, so a
@@ -91,6 +93,7 @@ class PayloadReader {
   double get_f64();
   std::string get_string();
   void get_f64_array(double* values, std::size_t count);
+  void get_u64_array(std::uint64_t* values, std::size_t count);
   /// Consumes and returns every remaining byte (nested-blob payloads).
   std::string rest();
 

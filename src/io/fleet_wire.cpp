@@ -121,7 +121,7 @@ FleetOriginBlock get_origin_block(PayloadReader& payload, const FleetWireConfig&
   if (payload.remaining() != count * entry_bytes) {
     fail("origin block size mismatch");
   }
-  std::set<std::uint32_t> seen;
+  std::vector<bool> seen(config.num_arms, false);
   block.arms.reserve(count);
   linalg::Vector theta;
   linalg::Matrix p;
@@ -129,7 +129,8 @@ FleetOriginBlock get_origin_block(PayloadReader& payload, const FleetWireConfig&
     FleetArmEntry entry;
     entry.arm = payload.get_u32();
     if (entry.arm >= config.num_arms) fail("origin block names unknown arm");
-    if (!seen.insert(entry.arm).second) fail("duplicate arm in origin block");
+    if (seen[entry.arm]) fail("duplicate arm in origin block");
+    seen[entry.arm] = true;
     const std::uint64_t n = payload.get_u64();
     if (n == 0) fail("origin block entry carries no observations");
     if (n > kMaxObservationsPerArm) fail("obs count exceeds limit");
@@ -198,7 +199,7 @@ std::string save_fleet_delta(const FleetDelta& delta) {
     put_u32(payload, entry.origin.incarnation);
     BW_CHECK_MSG(entry.per_arm_n.size() == delta.config.num_arms,
                  "fleet wire: version vector entry arity mismatch");
-    for (std::uint64_t n : entry.per_arm_n) put_u64(payload, n);
+    put_u64_array(payload, entry.per_arm_n.data(), entry.per_arm_n.size());
   }
   write_packet(os, kPacketVersionVector, payload);
 
@@ -261,8 +262,8 @@ FleetDelta load_fleet_delta(const std::string& bytes, bool* truncated) {
             fail("duplicate origin in version vector");
           }
           entry.per_arm_n.resize(delta.config.num_arms);
-          for (std::uint64_t& n : entry.per_arm_n) {
-            n = payload.get_u64();
+          payload.get_u64_array(entry.per_arm_n.data(), entry.per_arm_n.size());
+          for (std::uint64_t n : entry.per_arm_n) {
             if (n > kMaxObservationsPerArm) fail("obs count exceeds limit");
           }
           delta.version_vector.push_back(std::move(entry));

@@ -21,36 +21,45 @@ void symmetrize(Matrix& m) {
   }
 }
 
+/// The Cholesky recurrence, column by column, into `l` (reshaped to a's
+/// size, its storage reused). False on a non-positive or non-finite pivot.
+bool factor_lower(const Matrix& a, Matrix& l) {
+  BW_CHECK_MSG(a.rows() == a.cols(), "Cholesky requires a square matrix");
+  const std::size_t n = a.rows();
+  l.assign(n, n);
+  // Row-major storage, indexed directly: these loops are every merge's
+  // factorization.
+  const double* in = a.data().data();
+  double* out = l.data().data();
+  for (std::size_t j = 0; j < n; ++j) {
+    double* lj = out + j * n;
+    double diag = in[j * n + j];
+    for (std::size_t k = 0; k < j; ++k) diag -= lj[k] * lj[k];
+    if (!(diag > 0.0) || !std::isfinite(diag)) return false;
+    const double ljj = std::sqrt(diag);
+    lj[j] = ljj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double* li = out + i * n;
+      double sum = in[i * n + j];
+      for (std::size_t k = 0; k < j; ++k) sum -= li[k] * lj[k];
+      li[j] = sum / ljj;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
-  BW_CHECK_MSG(a.rows() == a.cols(), "Cholesky requires a square matrix");
-  const std::size_t n = a.rows();
-  Matrix l(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
-    if (!(diag > 0.0) || !std::isfinite(diag)) return std::nullopt;
-    const double ljj = std::sqrt(diag);
-    l(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double sum = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) sum -= l(i, k) * l(j, k);
-      l(i, j) = sum / ljj;
-    }
-  }
+  Matrix l;
+  if (!factor_lower(a, l)) return std::nullopt;
   return Cholesky(std::move(l));
 }
 
 Vector Cholesky::solve_lower(const Vector& b) const {
-  const std::size_t n = l_.rows();
-  BW_CHECK_MSG(b.size() == n, "Cholesky solve: size mismatch");
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (std::size_t k = 0; k < i; ++k) sum -= l_(i, k) * y[k];
-    y[i] = sum / l_(i, i);
-  }
+  BW_CHECK_MSG(b.size() == l_.rows(), "Cholesky solve: size mismatch");
+  Vector y(b.size());
+  solve_lower_into(l_, b, y);
   return y;
 }
 
@@ -89,7 +98,18 @@ Matrix Cholesky::inverse() const {
   return inv;
 }
 
-Cholesky factor_spd(const Matrix& a, double jitter) {
+void solve_lower_into(const Matrix& l, std::span<const double> b, std::span<double> y) {
+  const std::size_t n = l.rows();
+  BW_CHECK_MSG(b.size() == n && y.size() == n, "Cholesky solve: size mismatch");
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* li = l.data().data() + i * n;
+    double sum = b[i];
+    for (std::size_t k = 0; k < i; ++k) sum -= li[k] * y[k];
+    y[i] = sum / li[i];
+  }
+}
+
+void factor_spd_into(const Matrix& a, Matrix& l, double jitter) {
   // A symmetric PSD matrix never has a negative diagonal entry; seeing one
   // means the caller's matrix is not a Gram/covariance matrix at all, and
   // no amount of regularization would make the answer meaningful.
@@ -98,7 +118,7 @@ Cholesky factor_spd(const Matrix& a, double jitter) {
       throw NumericalError("factor_spd: negative diagonal entry — matrix is not PSD");
     }
   }
-  if (auto chol = Cholesky::factor(a)) return *chol;
+  if (factor_lower(a, l)) return;
   // Escalate jitter relative to the matrix scale; an absolute epsilon is
   // useless when diagonal entries are ~1e19 (squared byte counts).
   double diag_scale = 0.0;
@@ -108,10 +128,16 @@ Cholesky factor_spd(const Matrix& a, double jitter) {
   double bump = std::max(jitter, diag_scale * 1e-14);
   for (int attempt = 0; attempt < 6; ++attempt) {
     for (std::size_t i = 0; i < regularized.rows(); ++i) regularized(i, i) += bump;
-    if (auto chol = Cholesky::factor(regularized)) return *chol;
+    if (factor_lower(regularized, l)) return;
     bump *= 1000.0;
   }
   throw NumericalError("factor_spd: matrix is not positive definite even after jitter");
+}
+
+Cholesky factor_spd(const Matrix& a, double jitter) {
+  Matrix l;
+  factor_spd_into(a, l, jitter);
+  return Cholesky(std::move(l));
 }
 
 Vector solve_spd(const Matrix& a, const Vector& b, double jitter) {

@@ -4,6 +4,7 @@
 // Thompson-sampling policy (sampling from N(mu, sigma^2 A^{-1})).
 
 #include <optional>
+#include <span>
 
 #include "linalg/matrix.hpp"
 
@@ -36,6 +37,7 @@ class Cholesky {
   const Matrix& lower() const { return l_; }
 
  private:
+  friend Cholesky factor_spd(const Matrix& a, double jitter);
   explicit Cholesky(Matrix l) : l_(std::move(l)) {}
   Matrix l_;
 };
@@ -44,6 +46,15 @@ class Cholesky {
 /// escalations) if the factorization fails. Throws NumericalError if the
 /// matrix has a negative diagonal entry or remains non-positive-definite.
 Cholesky factor_spd(const Matrix& a, double jitter = 1e-10);
+
+/// factor_spd into a caller-owned lower factor `l`, reshaped to a's size
+/// with its storage reused: the same arithmetic, negative-diagonal throw
+/// and jitter escalation. Only the jitter retries allocate.
+void factor_spd_into(const Matrix& a, Matrix& l, double jitter = 1e-10);
+
+/// Forward substitution L y = b into `y` for a lower-triangular `l` —
+/// Cholesky::solve_lower's arithmetic, with no allocation.
+void solve_lower_into(const Matrix& l, std::span<const double> b, std::span<double> y);
 
 /// Solves A x = b for SPD A via factor_spd.
 Vector solve_spd(const Matrix& a, const Vector& b, double jitter = 1e-10);

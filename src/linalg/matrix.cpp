@@ -30,6 +30,12 @@ Matrix Matrix::identity(std::size_t n) {
   return eye;
 }
 
+void Matrix::assign(std::size_t rows, std::size_t cols, double fill) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, fill);
+}
+
 double& Matrix::operator()(std::size_t r, std::size_t c) {
   BW_CHECK_MSG(r < rows_ && c < cols_, "Matrix index out of range");
   return data_[r * cols_ + c];

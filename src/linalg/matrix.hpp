@@ -29,6 +29,10 @@ class Matrix {
 
   static Matrix identity(std::size_t n);
 
+  /// Reshapes to rows x cols filled with `fill`, reusing the storage: no
+  /// allocation once it has held rows * cols entries.
+  void assign(std::size_t rows, std::size_t cols, double fill = 0.0);
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }

@@ -19,31 +19,51 @@ namespace bw::linalg {
 namespace {
 
 /// a = RᵀR (both halves) and b = Rᵀz for a packed upper-triangular R.
-void information(const Vector& r, const Vector& z, std::size_t p, Matrix& a,
-                 Vector& b) {
-  a = Matrix(p, p);
+void information(std::span<const double> r, std::span<const double> z, std::size_t p,
+                 Matrix& a, Vector& b) {
+  a.assign(p, p);
   b.assign(p, 0.0);
+  double* m = a.data().data();  // row-major p x p
   const double* row = r.data();
   for (std::size_t k = 0; k < p; ++k) {  // row k holds R(k, k..p-1)
     for (std::size_t i = k; i < p; ++i) {
       const double rki = row[i - k];
       b[i] += rki * z[k];
-      for (std::size_t j = i; j < p; ++j) a(i, j) += rki * row[j - k];
+      for (std::size_t j = i; j < p; ++j) m[i * p + j] += rki * row[j - k];
     }
     row += p - k;
   }
   for (std::size_t i = 1; i < p; ++i) {
-    for (std::size_t j = 0; j < i; ++j) a(i, j) = a(j, i);
+    for (std::size_t j = 0; j < i; ++j) m[i * p + j] = m[j * p + i];
   }
 }
+
+/// merge()'s working set: the information sum being built, one operand's
+/// RᵀR and Rᵀz, and the factor of the sum. Merges run on many threads at
+/// once (shard sync, the async fuser, fleet refolds), so the buffers are
+/// per-thread, like the decision kernel's DecisionScratch; after a thread's
+/// first merge of a shape, merging allocates nothing.
+struct MergeScratch {
+  Matrix a;
+  Vector b;
+  Matrix part_a;
+  Vector part_b;
+  Matrix l;
+
+  static MergeScratch& local() {
+    static thread_local MergeScratch scratch;
+    return scratch;
+  }
+};
 
 /// Packs Lᵀ (the upper factor R of A = L Lᵀ) row-major into `r`.
 void pack_transpose(const Matrix& l, Vector& r) {
   const std::size_t p = l.rows();
+  const double* m = l.data().data();
   r.resize(p * (p + 1) / 2);
   std::size_t at = 0;
   for (std::size_t i = 0; i < p; ++i) {
-    for (std::size_t j = i; j < p; ++j) r[at++] = l(j, i);
+    for (std::size_t j = i; j < p; ++j) r[at++] = m[j * p + i];
   }
 }
 
@@ -233,60 +253,65 @@ void RecursiveLeastSquares::merge(const RecursiveLeastSquares& other,
                "RLS::merge: ridge priors differ — fusion would not be exact");
   BW_CHECK_MSG(other.lambda_ == lambda_,
                "RLS::merge: forgetting factors differ — fusion would not be exact");
-  if (base != nullptr) {
-    BW_CHECK_MSG(base->dim_ == dim_ && base->ridge_ == ridge_,
-                 "RLS::merge: base dimension or ridge mismatch");
-    BW_CHECK_MSG(base->lambda_ == lambda_,
-                 "RLS::merge: base forgetting factor mismatch");
-    BW_CHECK_MSG(base->n_ <= other.n_,
-                 "RLS::merge: base holds more observations than other");
-    // No evidence beyond the common ancestor — nothing to fold in. (The
-    // deterministic update makes identical evidence equivalent to an
-    // identical stream.)
-    if (other.n_ == base->n_ && other.r_ == base->r_ && other.z_ == base->z_) return;
-  } else {
-    if (other.n_ == 0) return;  // other is the bare prior: exact no-op
-    if (n_ == 0) {              // we are the bare prior: adopt other verbatim
-      r_ = other.r_;
-      z_ = other.z_;
-      theta_ = other.theta_;
-      rinv_ = other.rinv_;
-      n_ = other.n_;
-      return;
-    }
+  if (base == nullptr) {
+    merge(other.r_, other.z_, other.n_);
+    return;
   }
+  BW_CHECK_MSG(base->dim_ == dim_ && base->ridge_ == ridge_,
+               "RLS::merge: base dimension or ridge mismatch");
+  BW_CHECK_MSG(base->lambda_ == lambda_, "RLS::merge: base forgetting factor mismatch");
+  BW_CHECK_MSG(base->n_ <= other.n_,
+               "RLS::merge: base holds more observations than other");
+  // No evidence beyond the common ancestor — nothing to fold in. (The
+  // deterministic update makes identical evidence equivalent to an
+  // identical stream.)
+  if (other.n_ == base->n_ && other.r_ == base->r_ && other.z_ == base->z_) return;
+  fuse(other.r_, other.z_, other.n_ - base->n_, base);
+}
 
+void RecursiveLeastSquares::merge(std::span<const double> r, std::span<const double> z,
+                                  std::size_t n) {
+  BW_CHECK_MSG(r.size() == r_.size() && z.size() == z_.size(),
+               "RLS::merge: evidence shape mismatch");
+  if (n == 0) return;  // other is the bare prior: exact no-op
+  if (n_ == 0) {       // we are the bare prior: adopt other verbatim
+    r_.assign(r.begin(), r.end());
+    z_.assign(z.begin(), z.end());
+    n_ = n;
+    solve_theta();
+    return;
+  }
+  fuse(r, z, n, nullptr);
+}
+
+void RecursiveLeastSquares::fuse(std::span<const double> other_r,
+                                 std::span<const double> other_z, std::size_t other_new,
+                                 const RecursiveLeastSquares* base) {
   // Discount alignment: the fused estimator is the one that saw self's
   // stream, then other's m new observations (m = other.n - base.n). The
   // observation count is the discount generation, so self's and the base's
   // information age by λ^m. scale == 1.0 exactly at λ = 1.
   const std::size_t p = dim_ + 1;
-  const std::size_t other_new = other.n_ - (base != nullptr ? base->n_ : 0);
   const double scale = std::pow(lambda_, static_cast<double>(other_new));
+  MergeScratch& s = MergeScratch::local();
   // The new evidence first (other minus the aged ancestor, or minus the
   // prior copy both operands carry), so two near-equal operands cancel
   // before the result meets self's larger information.
-  Matrix a;
-  Vector b;
-  information(other.r_, other.z_, p, a, b);
+  information(other_r, other_z, p, s.a, s.b);
   if (base != nullptr) {
-    Matrix a_base;
-    Vector b_base;
-    information(base->r_, base->z_, p, a_base, b_base);
-    axpy(-scale, a_base.data(), a.data());
-    axpy(-scale, b_base, b);
+    information(base->r_, base->z_, p, s.part_a, s.part_b);
+    axpy(-scale, s.part_a.data(), s.a.data());
+    axpy(-scale, s.part_b, s.b);
   } else {
-    for (std::size_t i = 0; i < p; ++i) a(i, i) -= scale * ridge_;
+    for (std::size_t i = 0; i < p; ++i) s.a.data()[i * p + i] -= scale * ridge_;
   }
-  Matrix a_self;
-  Vector b_self;
-  information(r_, z_, p, a_self, b_self);
-  axpy(scale, a_self.data(), a.data());
-  axpy(scale, b_self, b);
+  information(r_, z_, p, s.part_a, s.part_b);
+  axpy(scale, s.part_a.data(), s.a.data());
+  axpy(scale, s.part_b, s.b);
 
-  const Cholesky chol = factor_spd(a);
-  pack_transpose(chol.lower(), r_);
-  z_ = chol.solve_lower(b);  // Lz = b with L = Rᵀ
+  factor_spd_into(s.a, s.l);
+  pack_transpose(s.l, r_);
+  solve_lower_into(s.l, s.b, z_);  // Lz = b with L = Rᵀ
   n_ += other_new;
   solve_theta();
 }

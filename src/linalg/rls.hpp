@@ -105,9 +105,18 @@ class RecursiveLeastSquares {
   /// number of new observations other contributes:
   ///   A <- λ^m A + A_other - λ^m A_base,  b <- λ^m b + b_other - λ^m b_base.
   /// Each operand's A = RᵀR and b = Rᵀz are summed and the result factored
-  /// once. Requires matching dim, ridge and forgetting factor.
+  /// once, in per-thread scratch: after a thread's first merge of a shape,
+  /// merging allocates nothing. Requires matching dim, ridge and forgetting
+  /// factor.
   void merge(const RecursiveLeastSquares& other,
              const RecursiveLeastSquares* base = nullptr);
+
+  /// merge(other) with no base, `other` given as its bare evidence (r, z, n)
+  /// — an estimator of this one's dim, ridge and forgetting factor, as a
+  /// fleet origin slot holds it: the same arithmetic, with no estimator
+  /// built per operand. The shapes are checked; the values are trusted to
+  /// be valid_evidence (their decoder or exporter checked them).
+  void merge(std::span<const double> r, std::span<const double> z, std::size_t n);
 
   void reset();
 
@@ -116,6 +125,11 @@ class RecursiveLeastSquares {
   void solve_theta();
   /// theta = R^{-1} z by back-substitution, rinv current.
   void back_substitute();
+  /// Both merges' one body: sums other's information, minus the λ^m-aged
+  /// base's (or one ridge prior when `base` is null), plus self's aged by
+  /// λ^m (m = other_new), and factors the sum once.
+  void fuse(std::span<const double> other_r, std::span<const double> other_z,
+            std::size_t other_new, const RecursiveLeastSquares* base);
 
   std::size_t dim_;
   double ridge_;

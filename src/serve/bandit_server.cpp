@@ -11,6 +11,7 @@
 #include "common/error.hpp"
 #include "io/state_io.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/rls.hpp"
 
 namespace bw::serve {
 
@@ -548,25 +549,38 @@ void BanditServer::adopt_model(const core::BanditWare& model) {
   // A foreign model must fail loudly, not serve from a catalog the routing
   // layer knows nothing about.
   check_shape(model, "adopt_model");
-  // Prepare every copy before taking any lock: copies can throw
-  // (bad_alloc); the swap window below must not.
-  std::vector<core::BanditWare> replicas;
-  replicas.reserve(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) replicas.push_back(model);
-  core::BanditWare base = model;
+  adopt_stats(model.export_stats(), std::vector<bool>(num_arms_, true));
+}
 
+void BanditServer::adopt_stats(const core::BanditWareStats& stats,
+                               const std::vector<bool>& arms) {
+  // Everything a restore would reject is checked before any lock, so a
+  // rejected adopt moves no shard, baseline or epoch; past this point only
+  // a republished snapshot's allocation can throw.
+  if (stats.arms.size() != num_arms_ || arms.size() != num_arms_) {
+    throw InvalidArgument("adopt: arm count differs from the engine's");
+  }
+  const std::size_t dim = feature_names_.size();
+  for (std::size_t arm = 0; arm < num_arms_; ++arm) {
+    if (!arms[arm]) continue;
+    const core::ArmStats& evidence = stats.arms[arm];
+    if (!linalg::RecursiveLeastSquares::valid_evidence(dim, evidence.r, evidence.z)) {
+      throw InvalidArgument("adopt: arm " + std::to_string(arm) +
+                            " holds invalid evidence");
+    }
+  }
   std::unique_lock fuse_lock(fuse_mutex_);
   std::vector<std::unique_lock<std::shared_mutex>> locks;
   locks.reserve(shards_.size());
   for (const auto& shard : shards_) locks.emplace_back(shard->mutex);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->bandit = std::move(replicas[i]);
-    republish_locked(*shards_[i]);
+  for (const auto& shard : shards_) {
+    shard->bandit.restore_stats(stats, arms);
+    republish_locked(*shard);
   }
-  *sync_base_ = std::move(base);
+  sync_base_->restore_stats(stats, arms);
   base_obs_count_.store(sync_base_->num_observations(), std::memory_order_relaxed);
   // Any async round staged against the previous baseline would publish
-  // pre-adoption evidence the caller already fused into `model`: move the
+  // pre-adoption evidence the caller already fused into `stats`: move the
   // generation so it abandons.
   generation_.fetch_add(1, std::memory_order_relaxed);
 }

@@ -306,15 +306,26 @@ class BanditServer {
   /// concurrent inline sync_shards()).
   bool sync_publish();
 
-  /// Fleet apply hook: atomically replaces every shard replica *and* the
-  /// sync baseline with `model`, republishes every shard's read snapshot,
-  /// and bumps the generation (abandoning any staged async round — its
-  /// evidence is assumed folded into `model` by the caller). This is how a
-  /// fleet node adopts the gossip-fused fleet-wide model: afterwards the
-  /// engine serves from `model` and the shard-vs-baseline delta algebra
-  /// restarts from it, so local evidence keeps accumulating on top without
-  /// double-counting. The model must match the engine's shape (see
-  /// check_shape); throws InvalidArgument otherwise.
+  /// Fleet apply hook, in place: for every arm `arms` flags, replaces that
+  /// arm's evidence with stats.arms[arm] on every shard replica and on the
+  /// sync baseline, and sets ε from stats.epsilon on all of them (ε-greedy
+  /// only); unflagged arms keep their evidence and plane columns bit for
+  /// bit. Each shard republishes its read snapshot once, and the generation
+  /// moves, so a staged async round abandons (its evidence is assumed
+  /// folded into `stats` by the caller). The shard-vs-baseline delta
+  /// algebra restarts from the adopted state, so local evidence keeps
+  /// accumulating on top without double-counting. Everything a restore
+  /// would reject — `stats` or `arms` not sized to the catalog, a flagged
+  /// arm whose evidence is not RLS::valid_evidence for the engine's
+  /// features — throws InvalidArgument before any lock is taken, leaving
+  /// every shard, the baseline and every epoch as they were. Nothing is
+  /// allocated but the lock list and the republished snapshots. This is
+  /// how a fleet node adopts its refolded arms.
+  void adopt_stats(const core::BanditWareStats& stats, const std::vector<bool>& arms);
+
+  /// adopt_stats of a whole model, every arm flagged: the model must match
+  /// the engine's shape (check_shape; throws InvalidArgument otherwise).
+  /// Afterwards the engine serves `model`.
   void adopt_model(const core::BanditWare& model);
 
   /// R̂ per arm from one shard's replica (locks that shard).

@@ -12,11 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -583,6 +586,211 @@ TEST(FleetWireProtocol, RestoredAsyncNodeKeepsPublishingSyncRounds) {
   FleetNode restored = FleetNode::restore(node.save_snapshot());
   EXPECT_EQ(restored.server().config().bandit.policy.fit.ridge, 1e-3);
   EXPECT_EQ(published_rounds(restored, 5), 5u);
+}
+
+// ---------------------------------------------------------------------------
+// The engine's in-place adopt (BanditServer::adopt_stats), which every
+// refolding apply runs: failure-atomic, only the flagged arms move, one
+// publication per shard, and safe under concurrent readers.
+
+/// A 2-shard round-robin engine whose shards and sync baseline hold
+/// different evidence: one batch, a sync, then another batch.
+serve::BanditServer trained_engine(serve::SyncMode mode) {
+  serve::BanditServerConfig config = server_config(PolicyKind::kEpsilonGreedy, 0.98);
+  config.num_shards = 2;
+  config.sharding = serve::ShardingPolicy::kRoundRobin;
+  config.sync_mode = mode;
+  serve::BanditServer engine(hw::ndp_catalog(), feature_names(), config);
+  for (const double start : {1.0, 5.0}) {
+    std::vector<serve::ServeObservation> batch;
+    for (std::size_t i = 0; i < 12; ++i) {
+      const core::FeatureVector x = {start + static_cast<double>(i), 2.0 + i % 3};
+      batch.push_back({i % 2, i % 3, x, 1.0 + 0.3 * x[0] + 0.2 * x[1]});
+    }
+    engine.observe_batch(batch);
+    if (start == 1.0) engine.sync_shards();
+  }
+  return engine;
+}
+
+/// Evidence for every arm of `engine`'s shape that no shard holds.
+core::BanditWareStats donor_stats(const serve::BanditServer& engine) {
+  BanditWare donor(engine.catalog(), engine.feature_names(), engine.config().bandit);
+  for (std::size_t i = 0; i < 9; ++i) {
+    const core::FeatureVector x = {3.0 + static_cast<double>(i), 1.0 + i % 4};
+    donor.observe(i % 3, x, 2.0 + 0.5 * x[0]);
+  }
+  return donor.export_stats();
+}
+
+/// Every arm record of the engine's text snapshot — the arm line with its
+/// z and R lines, 17 significant digits — keyed by section ("shard 0",
+/// "shard 1", "base") and arm name.
+std::map<std::pair<std::string, std::string>, std::string> arm_records(
+    const serve::BanditServer& engine) {
+  std::istringstream in(engine.save_state());
+  std::map<std::pair<std::string, std::string>, std::string> records;
+  std::string section;
+  std::string line;
+  std::string* record = nullptr;
+  while (std::getline(in, line)) {
+    if (line.rfind("shard ", 0) == 0 || line.rfind("base ", 0) == 0) {
+      section = line.substr(0, line.find(" bytes"));
+      record = nullptr;
+    } else if (line.rfind("arm ", 0) == 0) {
+      const std::string name = line.substr(4, line.find(' ', 4) - 4);
+      record = &records[{section, name}];
+      *record = line;
+    } else if (record != nullptr &&
+               (line.rfind("z ", 0) == 0 || line.rfind("R ", 0) == 0)) {
+      *record += "\n" + line;
+    } else {
+      record = nullptr;
+    }
+  }
+  return records;
+}
+
+std::vector<std::uint64_t> published_epochs(const serve::BanditServer& engine) {
+  std::vector<std::uint64_t> epochs;
+  for (std::size_t s = 0; s < engine.num_shards(); ++s) {
+    epochs.push_back(engine.published_epoch(s));
+  }
+  return epochs;
+}
+
+TEST(FleetAdopt, RejectedAdoptChangesNoShardBaselineOrEpoch) {
+  serve::BanditServer engine = trained_engine(serve::SyncMode::kInline);
+  const core::BanditWareStats good = donor_stats(engine);
+  const std::vector<bool> all(engine.catalog().size(), true);
+  const std::string state = engine.save_state();
+  const std::vector<std::uint64_t> epochs = published_epochs(engine);
+  const std::uint64_t generation = engine.generation();
+  const auto expect_unchanged = [&] {
+    EXPECT_EQ(engine.save_state(), state);
+    EXPECT_EQ(published_epochs(engine), epochs);
+    EXPECT_EQ(engine.generation(), generation);
+  };
+  core::BanditWareStats short_stats = good;
+  short_stats.arms.pop_back();
+  EXPECT_THROW(engine.adopt_stats(short_stats, all), InvalidArgument);
+  expect_unchanged();
+  EXPECT_THROW(engine.adopt_stats(good, std::vector<bool>(all.size() + 1, true)),
+               InvalidArgument);
+  expect_unchanged();
+  // The bad arm is the last one flagged: arms before it must not have been
+  // restored either.
+  for (const double diagonal : {0.0, std::numeric_limits<double>::quiet_NaN()}) {
+    core::BanditWareStats bad = good;
+    bad.arms.back().r.back() = diagonal;  // R's last diagonal entry
+    EXPECT_THROW(engine.adopt_stats(bad, all), InvalidArgument);
+    expect_unchanged();
+  }
+}
+
+TEST(FleetAdopt, OnlyFlaggedArmsMoveAndEachShardRepublishesOnce) {
+  serve::BanditServer engine = trained_engine(serve::SyncMode::kInline);
+  const core::BanditWareStats stats = donor_stats(engine);
+  const std::size_t arms = engine.catalog().size();
+  const std::string adopted_name = engine.catalog()[1].name;
+  std::vector<bool> flagged(arms, false);
+  flagged[1] = true;
+  const auto before = arm_records(engine);
+  const std::vector<std::uint64_t> epochs = published_epochs(engine);
+  const std::uint64_t generation = engine.generation();
+  std::vector<std::vector<std::vector<double>>> columns(engine.num_shards());
+  for (std::size_t s = 0; s < engine.num_shards(); ++s) {
+    for (std::size_t arm = 0; arm < arms; ++arm) {
+      columns[s].push_back(engine.published_model(s)->weight_row(arm));
+    }
+  }
+
+  engine.adopt_stats(stats, flagged);
+
+  // The flagged arm now holds the donor's evidence everywhere, exactly as
+  // a whole-model adopt of the donor would write it; every other arm of
+  // every shard and of the baseline is untouched, bit for bit.
+  const BanditWare donor = BanditWare::from_stats(
+      engine.catalog(), engine.feature_names(), engine.config().bandit, stats);
+  serve::BanditServer twin(engine.catalog(), engine.feature_names(), engine.config());
+  twin.adopt_model(donor);
+  const std::string donor_record = arm_records(twin).at({"base", adopted_name});
+  const auto after = arm_records(engine);
+  ASSERT_EQ(after.size(), before.size());
+  ASSERT_EQ(after.size(), 3 * arms);
+  for (const auto& [key, record] : before) {
+    SCOPED_TRACE(key.first + " arm " + key.second);
+    if (key.second == adopted_name) {
+      EXPECT_EQ(after.at(key), donor_record);
+      EXPECT_NE(after.at(key), record);
+    } else {
+      EXPECT_EQ(after.at(key), record);
+    }
+  }
+  std::vector<std::uint64_t> expected_epochs = epochs;
+  for (std::uint64_t& epoch : expected_epochs) ++epoch;
+  EXPECT_EQ(published_epochs(engine), expected_epochs);
+  EXPECT_EQ(engine.generation(), generation + 1);
+  for (std::size_t s = 0; s < engine.num_shards(); ++s) {
+    const auto published = engine.published_model(s);
+    for (std::size_t arm = 0; arm < arms; ++arm) {
+      if (flagged[arm]) continue;
+      EXPECT_EQ(published->weight_row(arm), columns[s][arm]) << "shard " << s;
+    }
+  }
+}
+
+TEST(FleetAdopt, RoundStagedBeforeAnAdoptAbandonsAtPublish) {
+  serve::BanditServer engine = trained_engine(serve::SyncMode::kAsync);
+  ASSERT_TRUE(engine.sync_stage());
+  engine.adopt_stats(donor_stats(engine),
+                     std::vector<bool>(engine.catalog().size(), true));
+  engine.sync_fuse();
+  const std::string adopted = engine.save_state();
+  const std::size_t syncs = engine.sync_count();
+  EXPECT_FALSE(engine.sync_publish());
+  EXPECT_EQ(engine.save_state(), adopted);
+  EXPECT_EQ(engine.sync_count(), syncs);
+}
+
+TEST(FleetAdopt, GreedyAndExploringReadersRunWhileDeltasApply) {
+  FleetNodeConfig config;
+  config.node_id = 1;
+  config.server = server_config(PolicyKind::kThompson, 0.98);
+  config.server.num_shards = 2;
+  FleetNode node(hw::ndp_catalog(), feature_names(), config);
+  FleetNode peer = make_node(2, PolicyKind::kThompson, 0.98);
+  const std::size_t arms = node.server().catalog().size();
+  std::atomic<bool> done{false};
+  std::atomic<int> started{0};
+  std::atomic<std::size_t> reads{0};
+  std::atomic<std::size_t> bad_arms{0};
+  const auto reader = [&](bool explore, std::uint64_t seed) {
+    Rng rng(seed);
+    for (bool first = true; first || !done.load(); first = false) {
+      const core::FeatureVector x = {rng.uniform(1.0, 10.0), rng.uniform(1.0, 10.0)};
+      const serve::ServeDecision decision = explore ? node.server().recommend_one(x)
+                                                    : node.server().recommend_greedy(x);
+      if (decision.arm >= arms) ++bad_arms;
+      ++reads;
+      if (first) ++started;
+    }
+  };
+  std::thread greedy(reader, false, 1);
+  std::thread exploring(reader, true, 2);
+  while (started.load() < 2) std::this_thread::yield();  // both readers live
+  std::size_t refolds = 0;
+  for (int round = 0; round < 40; ++round) {
+    feed(peer, 1, 100 + round);
+    refolds += node.apply_delta(peer.make_delta(1)).changed;
+  }
+  done = true;
+  greedy.join();
+  exploring.join();
+  EXPECT_EQ(refolds, 40u);
+  EXPECT_GE(reads.load(), 2u);
+  EXPECT_EQ(bad_arms.load(), 0u);
+  EXPECT_EQ(node.server().save_state(), adopted_fold_text(node));
 }
 
 }  // namespace
