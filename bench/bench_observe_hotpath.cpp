@@ -1,7 +1,8 @@
 // bench_observe_hotpath — observations/sec of the per-arm learning hot path
-// as a function of history length: the O(d^2) incremental (RLS) arm model
-// vs the paper-literal Alg. 1 line 11, a per-observation linalg::fit_linear
-// batch-QR refit over the whole history (written here, as the reference).
+// as a function of history length: the O(d^2) incremental (RLS) arm the
+// bank builds (core::ArmBank::make_arm) vs the paper-literal Alg. 1 line
+// 11, a per-observation linalg::fit_linear batch-QR refit over the whole
+// history (written here, as the reference).
 // Self-timed (std::chrono) so it runs anywhere the library builds. The
 // incremental win grows linearly with n: batch observe i costs O(i d^2),
 // incremental observe costs O(d^2) flat.
@@ -21,7 +22,7 @@
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/arm_model.hpp"
+#include "core/arm_bank.hpp"
 #include "linalg/lstsq.hpp"
 
 namespace {
@@ -53,10 +54,10 @@ Stream make_stream(std::size_t n, std::size_t dim, std::uint64_t seed) {
 }
 
 double time_incremental(const Stream& stream, std::size_t dim) {
-  bw::core::LinearArmModel model(dim);
+  bw::linalg::RecursiveLeastSquares arm = bw::core::ArmBank::make_arm(dim, {});
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < stream.xs.size(); ++i) {
-    model.observe(stream.xs[i], stream.ys[i]);
+    arm.update(stream.xs[i], stream.ys[i]);
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
   return std::chrono::duration<double>(elapsed).count();

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
     table.add_row({catalog[arm].name + " " + catalog[arm].to_string(),
                    bw::format_double(model.weights[0], 3),
                    bw::format_double(model.bias, 1),
-                   std::to_string(bandit.arm_model(arm).count())});
+                   std::to_string(model.n_observations)});
   }
   std::fputs(table.to_string().c_str(), stdout);
 

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     const auto& model = bandit.arm_model(arm).model();
     table.add_row({catalog[arm].name, bw::format_double(model.weights[0], 6),
                    bw::format_double(model.bias, 4),
-                   std::to_string(bandit.arm_model(arm).count())});
+                   std::to_string(model.n_observations)});
   }
   std::fputs(table.to_string().c_str(), stdout);
 

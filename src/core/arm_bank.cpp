@@ -1,5 +1,7 @@
 #include "core/arm_bank.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "core/score_scratch.hpp"
 #include "linalg/gemm.hpp"
@@ -7,6 +9,21 @@
 #include "linalg/matrix.hpp"
 
 namespace bw::core {
+
+void copy_stats(const linalg::RecursiveLeastSquares& arm, ArmStats& out) {
+  out.r = arm.r();
+  out.z = arm.z();
+  out.n = arm.n_observations();
+}
+
+linalg::RecursiveLeastSquares ArmBank::make_arm(std::size_t dim,
+                                                const linalg::FitOptions& fit) {
+  BW_CHECK_MSG(fit.intercept,
+               "arm model: fit.intercept = false is not supported (the recursive "
+               "update always fits the intercept b)");
+  return linalg::RecursiveLeastSquares(dim, fit.ridge == 0.0 ? 1e-8 : fit.ridge,
+                                       fit.forgetting);
+}
 
 ArmBank::ArmBank(const hw::HardwareCatalog& catalog, std::size_t num_features,
                  const linalg::FitOptions& fit, const ToleranceParams& tolerance,
@@ -18,10 +35,7 @@ ArmBank::ArmBank(const hw::HardwareCatalog& catalog, std::size_t num_features,
   // every arm under an infinite ratio or slack.
   BW_CHECK_MSG(tolerance.ratio >= 0.0 && tolerance.seconds >= 0.0,
                "tolerance parameters must be non-negative");
-  arms_.reserve(catalog.size());
-  for (std::size_t i = 0; i < catalog.size(); ++i) {
-    arms_.emplace_back(num_features, fit);
-  }
+  arms_.assign(catalog.size(), make_arm(num_features, fit));
   resource_costs_ = std::make_shared<const std::vector<double>>(
       catalog.resource_costs(weights));
   // Fresh arms are all-zero (w = b = 0), so the zero-initialized plane is
@@ -32,34 +46,29 @@ ArmBank::ArmBank(const hw::HardwareCatalog& catalog, std::size_t num_features,
 void ArmBank::fill_plane_column(ArmIndex arm) {
   // Transposed plane (see gemm.hpp): one arm is a strided column. Writes
   // are per-observation; reads are the hot path and stream unit-stride.
-  const linalg::Vector& theta = arms_[arm].rls().theta();
+  const linalg::Vector& theta = arms_[arm].theta();
   const std::size_t stride = arms_.size();
   for (std::size_t i = 0; i <= dim_; ++i) theta_plane_[i * stride + arm] = theta[i];
 }
 
 void ArmBank::observe(ArmIndex arm, const FeatureVector& x, double runtime_s) {
   BW_CHECK_MSG(arm < arms_.size(), "arm index out of range");
-  arms_[arm].observe(x, runtime_s);
+  // The arm checks x's size and finiteness; the runtime is the bank's.
+  BW_CHECK_MSG(std::isfinite(runtime_s), "arm model: non-finite runtime");
+  arms_[arm].update(x, runtime_s);
   fill_plane_column(arm);
 }
 
 void ArmBank::restore_arm(ArmIndex arm, const ArmStats& stats) {
   BW_CHECK_MSG(arm < arms_.size(), "arm index out of range");
-  arms_[arm].restore_stats(stats);
+  arms_[arm].restore(stats.r, stats.z, stats.n);
   fill_plane_column(arm);
 }
 
-void ArmBank::merge_arm(ArmIndex arm, const LinearArmModel& other,
-                        const LinearArmModel* base) {
+void ArmBank::merge_arm(ArmIndex arm, const linalg::RecursiveLeastSquares& other,
+                        const linalg::RecursiveLeastSquares* base) {
   BW_CHECK_MSG(arm < arms_.size(), "arm index out of range");
   arms_[arm].merge(other, base);
-  fill_plane_column(arm);
-}
-
-void ArmBank::assign_arm(ArmIndex arm, const LinearArmModel& model) {
-  BW_CHECK_MSG(arm < arms_.size(), "arm index out of range");
-  BW_CHECK_MSG(model.dim() == dim_, "assign_arm: arm dimension mismatch");
-  arms_[arm] = model;
   fill_plane_column(arm);
 }
 
@@ -98,7 +107,7 @@ void ArmBank::variance_proxy_all(const FeatureVector& x,
   linalg::with_intercept_into(x, xa);
   for (ArmIndex arm = 0; arm < arms_.size(); ++arm) {
     // RLS::variance_proxy's own solve, minus its per-call allocations.
-    out[arm] = arms_[arm].rls().variance_proxy_aug(xa, scratch);
+    out[arm] = arms_[arm].variance_proxy_aug(xa, scratch);
   }
 }
 
@@ -111,13 +120,13 @@ TolerantChoice ArmBank::recommend_choice(const FeatureVector& x) const {
       *resource_costs_, tolerance_);
 }
 
-const LinearArmModel& ArmBank::arm(ArmIndex index) const {
+const linalg::RecursiveLeastSquares& ArmBank::arm(ArmIndex index) const {
   BW_CHECK_MSG(index < arms_.size(), "arm index out of range");
   return arms_[index];
 }
 
 void ArmBank::reset() {
-  for (auto& arm : arms_) arm.reset();
+  for (auto& arm : arms_) arm.reset();  // paper init: w_i = 0, b_i = 0
   theta_plane_.assign((dim_ + 1) * arms_.size(), 0.0);
 }
 

@@ -8,6 +8,36 @@
 
 namespace bw::core {
 
+void check_same_shape(const ModelShape& mine, const ModelShape& theirs,
+                      std::string_view what) {
+  const auto require = [what](bool same, const char* field) {
+    if (!same) throw InvalidArgument(std::string(what) + ": " + field + " differs");
+  };
+  const BanditWareConfig& a = mine.config;
+  const BanditWareConfig& b = theirs.config;
+  require(theirs.catalog.specs() == mine.catalog.specs(), "catalog");
+  require(theirs.feature_names == mine.feature_names, "feature names");
+  require(b.policy_kind == a.policy_kind, "policy kind");
+  switch (a.policy_kind) {
+    case PolicyKind::kEpsilonGreedy:
+      require(b.policy.initial_epsilon == a.policy.initial_epsilon &&
+                  b.policy.decay == a.policy.decay,
+              "exploration schedule");
+      break;
+    case PolicyKind::kLinUcb:
+      require(b.alpha == a.alpha, "alpha");
+      break;
+    case PolicyKind::kThompson:
+      require(b.posterior_scale == a.posterior_scale, "posterior scale");
+      break;
+  }
+  require(b.policy.tolerance.ratio == a.policy.tolerance.ratio &&
+              b.policy.tolerance.seconds == a.policy.tolerance.seconds,
+          "tolerance");
+  require(b.policy.fit.ridge == a.policy.fit.ridge, "ridge prior");
+  require(b.policy.fit.forgetting == a.policy.fit.forgetting, "forgetting factor");
+}
+
 BanditWare::ProductionPolicy BanditWare::make_policy(const hw::HardwareCatalog& catalog,
                                                      std::size_t num_features,
                                                      const BanditWareConfig& config) {
@@ -92,7 +122,7 @@ double BanditWare::epsilon() const {
   return eps != nullptr ? eps->epsilon() : 0.0;
 }
 
-const LinearArmModel& BanditWare::arm_model(ArmIndex arm) const {
+const linalg::RecursiveLeastSquares& BanditWare::arm_model(ArmIndex arm) const {
   return banked().arm_model(arm);
 }
 
@@ -105,94 +135,30 @@ const DecayingEpsilonGreedy& BanditWare::policy() const {
 }
 
 void BanditWare::merge_from(const BanditWare& other, const BanditWare* base) {
-  BW_CHECK_MSG(other.feature_names_ == feature_names_,
-               "merge_from: feature names mismatch");
-  BW_CHECK_MSG(other.config_.policy_kind == config_.policy_kind,
-               "merge_from: policy kinds mismatch (" + to_string(config_.policy_kind) +
-                   " vs " + to_string(other.config_.policy_kind) +
-                   ") — cross-policy fusion is undefined");
-  const auto& mine = config_.policy;
-  const auto& theirs = other.config_.policy;
-  BW_CHECK_MSG(mine.fit.ridge == theirs.fit.ridge,
-               "merge_from: ridge prior mismatch — fusion would not be exact");
-  BW_CHECK_MSG(mine.fit.forgetting == theirs.fit.forgetting,
-               "merge_from: forgetting factor mismatch — fusion would not be exact");
-  switch (config_.policy_kind) {
-    case PolicyKind::kEpsilonGreedy:
-      BW_CHECK_MSG(mine.initial_epsilon == theirs.initial_epsilon &&
-                       mine.decay == theirs.decay,
-                   "merge_from: exploration schedule mismatch");
-      break;
-    case PolicyKind::kLinUcb:
-      BW_CHECK_MSG(config_.alpha == other.config_.alpha,
-                   "merge_from: linucb alpha mismatch");
-      break;
-    case PolicyKind::kThompson:
-      BW_CHECK_MSG(config_.posterior_scale == other.config_.posterior_scale,
-                   "merge_from: thompson posterior scale mismatch");
-      break;
+  check_same_shape(shape(), other.shape(), "merge_from: other");
+  if (base != nullptr) check_same_shape(shape(), base->shape(), "merge_from: base");
+  ArmBank& bank = banked().bank();
+  for (ArmIndex arm = 0; arm < num_arms(); ++arm) {
+    bank.merge_arm(arm, other.arm_model(arm),
+                   base != nullptr ? &base->arm_model(arm) : nullptr);
   }
-  if (base != nullptr) {
-    BW_CHECK_MSG(base->feature_names_ == feature_names_,
-                 "merge_from: base feature names mismatch");
-    BW_CHECK_MSG(base->config_.policy_kind == config_.policy_kind,
-                 "merge_from: base policy kind mismatch");
+  // ε decays once per observation, so absorbing other's stream multiplies
+  // the decay each side accumulated since the shared starting point (ε₀,
+  // or the common ancestor's ε under replica sync). LinUCB/Thompson carry
+  // no mutable scalar outside the arms: the arm fusion is their whole merge.
+  if (auto* eps = eps_greedy()) {
+    const double anchor =
+        base != nullptr ? base->epsilon() : config_.policy.initial_epsilon;
+    eps->set_epsilon(fuse_epsilon(eps->epsilon(), other.epsilon(), anchor));
   }
-
-  // ε decays by α once per observation, so absorbing other's stream maps to
-  // multiplying the decay factors each side accumulated since the shared
-  // starting point (ε₀, or the common ancestor's ε under replica sync).
-  // LinUCB/Thompson carry no mutable scalar state outside the arms — their
-  // exploration width is posterior-driven, so the arm fusion below is the
-  // whole merge.
-  double merged_epsilon = 0.0;
-  if (eps_greedy() != nullptr) {
-    const double eps_anchor = base != nullptr ? base->epsilon() : mine.initial_epsilon;
-    merged_epsilon =
-        eps_anchor > 0.0 ? epsilon() * other.epsilon() / eps_anchor : 0.0;
-  }
-
-  auto base_model_for = [base](const std::string& name) -> const LinearArmModel* {
-    if (base == nullptr) return nullptr;
-    const auto index = base->catalog_.index_of(name);
-    return index ? &base->banked().arm_model(*index) : nullptr;
-  };
-
-  // Union of arms: self arms keep their indices, other-only arms append.
-  hw::HardwareCatalog merged_catalog = catalog_;
-  for (ArmIndex j = 0; j < other.catalog_.size(); ++j) {
-    const hw::HardwareSpec& spec = other.catalog_[j];
-    if (const auto index = merged_catalog.index_of(spec.name)) {
-      BW_CHECK_MSG(merged_catalog[*index] == spec,
-                   "merge_from: conflicting specs for arm " + spec.name);
-    } else {
-      merged_catalog.add(spec);
-    }
-  }
-  if (merged_catalog.size() != catalog_.size()) {
-    // Rebuild around the wider catalog, carrying our learned arms across
-    // (indices are preserved; resource costs recompute from the catalog).
-    BanditWare widened(merged_catalog, feature_names_, config_);
-    for (ArmIndex arm = 0; arm < catalog_.size(); ++arm) {
-      widened.banked().bank().assign_arm(arm, banked().arm_model(arm));
-    }
-    *this = std::move(widened);
-  }
-
-  for (ArmIndex j = 0; j < other.catalog_.size(); ++j) {
-    const std::string& name = other.catalog_[j].name;
-    const auto index = catalog_.index_of(name);
-    banked().bank().merge_arm(*index, other.banked().arm_model(j), base_model_for(name));
-  }
-  if (auto* eps = eps_greedy()) eps->set_epsilon(merged_epsilon);
 }
 
 BanditWareStats BanditWare::export_stats() const {
   BanditWareStats stats;
   stats.epsilon = epsilon();
-  stats.arms.reserve(catalog_.size());
+  stats.arms.resize(catalog_.size());
   for (ArmIndex arm = 0; arm < catalog_.size(); ++arm) {
-    stats.arms.push_back(banked().arm_model(arm).export_stats());
+    copy_stats(arm_model(arm), stats.arms[arm]);
   }
   return stats;
 }
@@ -232,7 +198,7 @@ std::vector<double> BanditWare::predictions(const FeatureVector& x) const {
 std::size_t BanditWare::num_observations() const {
   std::size_t total = 0;
   for (ArmIndex arm = 0; arm < catalog_.size(); ++arm) {
-    total += banked().arm_model(arm).count();
+    total += arm_model(arm).n_observations();
   }
   return total;
 }

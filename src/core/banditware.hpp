@@ -16,7 +16,9 @@
 // the paper's decaying ε-greedy (default), LinUCB, or linear-Gaussian
 // Thompson sampling. All three run on the same per-arm ridge-RLS substrate
 // (core/arm_bank.hpp), so merging, sufficient-statistics export, and
-// snapshots work identically whichever policy serves.
+// snapshots work identically whichever policy serves. Two models merge
+// arm by arm, so they must share one shape (check_same_shape): the serve
+// layer's replicas all do.
 //
 // State can be saved to / restored from a plain-text snapshot so a service
 // can restart without losing what it learned.
@@ -25,6 +27,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -68,6 +71,25 @@ struct BanditWareStats {
   }
 };
 
+/// What arm i of a model is fitted against: its catalog, its feature
+/// vector and its config. A view; the model (or engine) keeps the fields.
+struct ModelShape {
+  const hw::HardwareCatalog& catalog;
+  const std::vector<std::string>& feature_names;
+  const BanditWareConfig& config;
+};
+
+/// The one shape rule for models that fuse arm i with arm i (merge_from)
+/// or serve as one engine's replicas (serve::BanditServer::check_shape):
+/// the same catalog specs in the same order, feature names, policy kind,
+/// the scalars that kind reads (ε₀ and decay, alpha, or the posterior
+/// scale), tolerance, ridge prior and forgetting factor. Fields no policy
+/// reads are not compared: they may hold anything, NaN included, which
+/// would not even match itself. Throws InvalidArgument naming `what` and
+/// the first field of `theirs` that differs from `mine`.
+void check_same_shape(const ModelShape& mine, const ModelShape& theirs,
+                      std::string_view what);
+
 class BanditWare {
  public:
   /// `feature_names` documents (and sizes) the workflow feature vector.
@@ -94,20 +116,17 @@ class BanditWare {
   /// Feeds back an observed runtime (ε-greedy also decays ε, per Alg. 1).
   void observe(ArmIndex arm, const FeatureVector& x, double runtime_s);
 
-  /// Folds another instance's learned state into this one by fusing per-arm
-  /// evidence (exact under the shared ridge prior — merging
+  /// Folds another instance's learned state into this one by fusing arm i
+  /// with arm i of `other` (exact under the shared ridge prior — merging
   /// two independently trained instances reproduces the single-stream
-  /// result; see tests/test_merge_equivalence.cpp). Arms are matched by
-  /// hardware name; arms only `other` knows are appended (union of arms).
-  /// Both instances must run the same policy kind with matching policy
-  /// scalars (ε schedule for ε-greedy, alpha for LinUCB, posterior scale
-  /// for Thompson) — all three kinds sit on the same information-form
-  /// evidence, so the arm algebra is shared, but cross-policy fusion is
-  /// rejected. ε is combined multiplicatively (ε_merged = ε_self · ε_other
-  /// / ε₀), matching one decay per absorbed observation. Pass the common
-  /// ancestor both instances grew from as `base` (replica sync) so shared
-  /// evidence is counted once. Requires matching feature names, ridge prior,
-  /// forgetting factor and policy; throws InvalidArgument otherwise.
+  /// result; see tests/test_merge_equivalence.cpp). `other`, and `base` if
+  /// given, must have this instance's shape (check_same_shape), so the
+  /// fusion is exact and cross-policy fusion is rejected; a mismatch throws
+  /// InvalidArgument before anything changes. ε is combined
+  /// multiplicatively (fuse_epsilon, anchored at ε₀ or at base's ε),
+  /// matching one decay per absorbed observation. Pass the common ancestor
+  /// both instances grew from as `base` (replica sync) so shared evidence
+  /// is counted once.
   void merge_from(const BanditWare& other, const BanditWare* base = nullptr);
 
   /// Copies out the learned state as per-arm evidence — O(arms * d^2), no
@@ -154,9 +173,13 @@ class BanditWare {
   const hw::HardwareCatalog& catalog() const { return catalog_; }
   const std::vector<std::string>& feature_names() const { return feature_names_; }
 
-  /// The per-arm learned model, whichever policy runs — what inspection
-  /// tools and state loaders read.
-  const LinearArmModel& arm_model(ArmIndex arm) const;
+  /// The per-arm learned model (its estimator), whichever policy runs —
+  /// what inspection tools and state codecs read.
+  const linalg::RecursiveLeastSquares& arm_model(ArmIndex arm) const;
+
+  /// This instance's catalog, feature names and config, for
+  /// check_same_shape.
+  ModelShape shape() const { return {catalog_, feature_names_, config_}; }
 
   /// The ε-greedy policy instance. Only valid when policy_kind() is
   /// kEpsilonGreedy (the historical accessor; policy-agnostic callers use

@@ -48,9 +48,11 @@ class BankedPolicy : public Policy {
   ArmBank& bank() { return bank_; }
   const ArmBank& bank() const { return bank_; }
 
-  /// Read-only: writes that bypass observe() (restore, merge, widening)
-  /// go through the bank's write-through methods.
-  const LinearArmModel& arm_model(ArmIndex arm) const { return bank_.arm(arm); }
+  /// Read-only: writes that bypass observe() (restore, merge) go through
+  /// the bank's write-through methods.
+  const linalg::RecursiveLeastSquares& arm_model(ArmIndex arm) const {
+    return bank_.arm(arm);
+  }
 
  protected:
   explicit BankedPolicy(ArmBank bank) : bank_(std::move(bank)) {}

@@ -43,6 +43,10 @@ void DecayingEpsilonGreedy::observe(ArmIndex arm, const FeatureVector& x,
   epsilon_ *= config_.decay;         // line 12: ε <- α ε
 }
 
+double fuse_epsilon(double epsilon, double other, double anchor) {
+  return std::clamp(anchor > 0.0 ? epsilon * other / anchor : 0.0, 0.0, 1.0);
+}
+
 void DecayingEpsilonGreedy::set_epsilon(double epsilon) {
   epsilon_ = std::clamp(epsilon, 0.0, 1.0);
 }

@@ -24,6 +24,13 @@ struct EpsilonGreedyConfig {
   hw::ResourceWeights resource_weights{};  ///< efficiency ordering
 };
 
+/// ε after fusing two exploration states that decayed from one `anchor`
+/// (ε₀, or a common ancestor's ε): ε decays by α once per observation, so
+/// the decay factors each side accumulated multiply — ε · ε_other / anchor,
+/// clamped to [0, 1], and 0 when the anchor is. BanditWare::merge_from and
+/// the fleet's canonical fold both fuse ε through it.
+double fuse_epsilon(double epsilon, double other, double anchor);
+
 class DecayingEpsilonGreedy final : public BankedPolicy {
  public:
   /// `catalog` supplies arm count and resource costs; `num_features` = m.

@@ -41,9 +41,12 @@ FleetNode::FleetNode(serve::BanditServer server, std::uint32_t node_id,
       incarnation_(incarnation),
       server_(std::move(server)),
       wire_config_(wire_config_of(server_)),
-      learner_(server_.feature_names().size(), server_.config().bandit.policy.fit),
+      learner_(core::ArmBank::make_arm(server_.feature_names().size(),
+                                       server_.config().bandit.policy.fit)),
       dirty_(server_.catalog().size(), true) {
-  prior_arms_.assign(server_.catalog().size(), learner_.export_stats());
+  core::ArmStats prior;
+  core::copy_stats(learner_, prior);
+  prior_arms_.assign(server_.catalog().size(), prior);
   origins_.emplace(self_origin(), prior_arms_);
   fused_.arms = prior_arms_;
 }
@@ -63,9 +66,9 @@ void FleetNode::observe_batch(
   std::vector<core::ArmStats>& slots = origins_.at(self_origin());
   for (const auto& obs : observations) {
     core::ArmStats& slot = slots[obs.arm];
-    learner_.restore_stats(slot);
-    learner_.observe(obs.x, obs.runtime_s);
-    learner_.export_stats(slot);
+    learner_.restore(slot.r, slot.z, slot.n);
+    learner_.update(obs.x, obs.runtime_s);
+    core::copy_stats(learner_, slot);
     dirty_[obs.arm] = true;
   }
 }
@@ -184,14 +187,14 @@ std::pair<std::size_t, std::size_t> FleetNode::fold_origin(
   return {applied, stale};
 }
 
-void FleetNode::fold_arm(std::size_t arm, core::LinearArmModel& fused) const {
+void FleetNode::fold_arm(std::size_t arm, linalg::RecursiveLeastSquares& fused) const {
   // No base: each origin slot carries the shared ridge prior once, and the
   // merge keeps exactly one copy — the fold over origins in ascending key
   // order is the canonical single-learner concatenation.
   fused.reset();
   for (const auto& [key, arms] : origins_) {
     const core::ArmStats& slot = arms[arm];
-    if (slot.n != 0) fused.merge(slot);
+    if (slot.n != 0) fused.merge(slot.r, slot.z, slot.n);
   }
 }
 
@@ -201,7 +204,7 @@ double FleetNode::fold_epsilon() const {
   // ε decays once per observation, so an origin's exploration state is
   // fully determined by its count — deriving it keeps the wire format free
   // of redundant (and potentially contradictory) scalars. The chain is
-  // merge_from's: ε_fused · ε_origin / ε₀, clamped to [0, 1] at each step.
+  // merge_from's: fuse_epsilon anchored at ε₀, one step per origin.
   const double initial = config.policy.initial_epsilon;
   double epsilon = initial;
   for (const auto& [key, arms] : origins_) {
@@ -211,19 +214,20 @@ double FleetNode::fold_epsilon() const {
     const double origin = std::clamp(
         initial * std::pow(config.policy.decay, static_cast<double>(n)), 0.0,
         1.0);
-    epsilon = std::clamp(initial > 0.0 ? epsilon * origin / initial : 0.0, 0.0, 1.0);
+    epsilon = core::fuse_epsilon(epsilon, origin, initial);
   }
   return epsilon;
 }
 
 core::BanditWare FleetNode::fused_model() const {
-  core::LinearArmModel fused(learner_.dim(), server_.config().bandit.policy.fit);
+  linalg::RecursiveLeastSquares fused =
+      core::ArmBank::make_arm(learner_.dim(), server_.config().bandit.policy.fit);
   core::BanditWareStats stats;
   stats.epsilon = fold_epsilon();
   stats.arms.resize(server_.catalog().size());
   for (std::size_t arm = 0; arm < stats.arms.size(); ++arm) {
     fold_arm(arm, fused);
-    fused.export_stats(stats.arms[arm]);
+    core::copy_stats(fused, stats.arms[arm]);
   }
   return core::BanditWare::from_stats(server_.catalog(), server_.feature_names(),
                                       server_.config().bandit, stats);
@@ -233,7 +237,7 @@ void FleetNode::rebuild_from_origins() {
   for (std::size_t arm = 0; arm < dirty_.size(); ++arm) {
     if (!dirty_[arm]) continue;
     fold_arm(arm, learner_);
-    learner_.export_stats(fused_.arms[arm]);
+    core::copy_stats(learner_, fused_.arms[arm]);
   }
   fused_.epsilon = fold_epsilon();
   server_.adopt_stats(fused_, dirty_);

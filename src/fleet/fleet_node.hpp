@@ -16,12 +16,12 @@
 // Serving model: the node's engine (a wrapped serve::BanditServer) adopts
 // the *canonical fold* of the origin store — per arm, a fresh prior merged
 // with every origin's statistics in ascending (node, incarnation) order via
-// the same information-form algebra as cross-shard sync
-// (core::LinearArmModel::merge with no base, so exactly one ridge prior
-// survives). Every node folds in the same order, so once their origin
-// stores agree their serving models agree bit-for-bit with a single
-// learner fed the origin streams in that canonical order — including under
-// a forgetting factor λ < 1, where the fold order is the discount order.
+// the same information-form algebra as cross-shard sync (RLS::merge with
+// no base, so exactly one ridge prior survives). Every node folds in the
+// same order, so once their origin stores agree their serving models agree
+// bit-for-bit with a single learner fed the origin streams in that
+// canonical order — including under a forgetting factor λ < 1, where the
+// fold order is the discount order.
 // ε-greedy's scalar decays once per observation, so an origin's
 // exploration state is derived as ε₀ · αⁿ and chains multiplicatively
 // through the fold exactly like the single learner's repeated decay.
@@ -157,7 +157,7 @@ class FleetNode {
   /// slot for `arm` in ascending key order, straight from the slot's
   /// evidence. Slots with n == 0 are skipped — merging a bare prior is an
   /// exact no-op. Allocates nothing.
-  void fold_arm(std::size_t arm, core::LinearArmModel& fused) const;
+  void fold_arm(std::size_t arm, linalg::RecursiveLeastSquares& fused) const;
 
   /// The canonical fold's ε-greedy scalar (0 for the other policies): the
   /// chain merge_from applies, over every origin holding evidence.
@@ -173,7 +173,7 @@ class FleetNode {
   /// Scratch arm. Local feedback restores the self-origin slot into it,
   /// observes, and exports back — the same statistics a dedicated single
   /// learner would hold, bit for bit; a rebuild folds each dirty arm in it.
-  core::LinearArmModel learner_;
+  linalg::RecursiveLeastSquares learner_;
   /// Prior-state template: origin slots start as copies so absent arms
   /// carry exactly the shared ridge prior.
   std::vector<core::ArmStats> prior_arms_;

@@ -176,7 +176,6 @@ hw::HardwareCatalog get_catalog(PayloadReader& reader,
 
 void write_bandit_packets(std::ostream& os, const BanditWare& bandit) {
   const core::BanditWareConfig& config = bandit.config();
-  const core::BankedPolicy& policy = StateAccess::banked(bandit);
 
   write_container_magic(os, PayloadKind::kBanditWareState);
 
@@ -195,7 +194,7 @@ void write_bandit_packets(std::ostream& os, const BanditWare& bandit) {
   write_packet(os, kBanditHeader, payload);
 
   for (ArmIndex arm = 0; arm < bandit.num_arms(); ++arm) {
-    const auto& rls = policy.arm_model(arm).rls();
+    const auto& rls = bandit.arm_model(arm);
     payload.clear();
     put_u32(payload, static_cast<std::uint32_t>(arm));
     put_u64(payload, rls.n_observations());

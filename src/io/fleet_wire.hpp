@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "core/arm_model.hpp"
+#include "core/arm_bank.hpp"
 #include "core/policy.hpp"
 
 namespace bw::io {

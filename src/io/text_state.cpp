@@ -263,7 +263,6 @@ std::string bandit_state_text(const BanditWare& bandit) {
   // line round-trips the schedule origin so every kind shares one header.
   const core::BanditWareConfig& config = bandit.config();
   const hw::HardwareCatalog& catalog = bandit.catalog();
-  const core::BankedPolicy& policy = StateAccess::banked(bandit);
   std::ostringstream os;
   os << std::setprecision(17);
   os << "banditware-state v5\n";
@@ -290,7 +289,7 @@ std::string bandit_state_text(const BanditWare& bandit) {
   const std::size_t dim_aug = bandit.feature_names().size() + 1;
   for (ArmIndex arm = 0; arm < catalog.size(); ++arm) {
     const auto& spec = catalog[arm];
-    const auto& rls = policy.arm_model(arm).rls();
+    const auto& rls = bandit.arm_model(arm);
     os << "arm " << spec.name << ' ' << spec.cpus << ' ' << spec.memory_gb << ' '
        << spec.gpus << " stats " << rls.n_observations() << "\n";
     os << "z";

@@ -32,11 +32,11 @@ struct FitOptions {
   /// Ridge penalty on [w; b]. 0 = ordinary least squares (QR path).
   double ridge = 0.0;
   /// If true and the QR path hits rank deficiency, retry with this ridge.
-  /// fit_linear only: the recursive arm model's prior is `ridge` (0 means
-  /// 1e-8).
+  /// fit_linear only: core::ArmBank's recursive arms take `ridge` as their
+  /// prior (0 means 1e-8).
   double fallback_ridge = 1e-8;
   /// Fit the intercept b (paper's model always has one). Only fit_linear
-  /// honours false; core::LinearArmModel rejects it.
+  /// honours false; core::ArmBank rejects it.
   bool intercept = true;
   /// Forgetting factor λ ∈ (0, 1] for the recursive (RLS) arm model:
   /// A ← λA + xxᵀ, b ← λb + yx, so an observation k steps old carries

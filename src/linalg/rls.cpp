@@ -176,6 +176,8 @@ Vector RecursiveLeastSquares::weights() const {
 
 double RecursiveLeastSquares::bias() const { return theta_.back(); }
 
+LinearModel RecursiveLeastSquares::model() const { return {weights(), bias(), n_}; }
+
 double RecursiveLeastSquares::variance_proxy(std::span<const double> x) const {
   BW_CHECK_MSG(x.size() == dim_, "RLS: feature size mismatch");
   Vector scratch;

@@ -3,8 +3,9 @@
 // "Factorization Methods for Discrete Sequential Estimation", 1977). An
 // O(p^2)-per-update alternative to the paper's batch refit (Alg. 1 line
 // 11), mathematically identical to ridge least squares on the same data
-// (verified by property tests). This is the learner inside every
-// core::LinearArmModel.
+// (verified by property tests). core::ArmBank holds one per hardware arm,
+// built by ArmBank::make_arm with the bank's default prior and intercept
+// rule.
 //
 // The evidence is (R, z, n) and nothing else: R is the upper-triangular
 // factor of the information matrix A = X^T X + ridge I (R^T R = A), z =
@@ -21,6 +22,7 @@
 
 #include <span>
 
+#include "linalg/lstsq.hpp"
 #include "linalg/matrix.hpp"
 
 namespace bw::linalg {
@@ -56,6 +58,8 @@ class RecursiveLeastSquares {
 
   Vector weights() const;  ///< w (length dim)
   double bias() const;     ///< b
+  /// The fitted (w, b, n) as a standalone LinearModel, for inspection.
+  LinearModel model() const;
 
   /// x̃ᵀ A⁻¹ x̃ = ‖R⁻ᵀx̃‖² — the posterior width LinUCB and Thompson use.
   double variance_proxy(std::span<const double> x) const;

@@ -186,6 +186,7 @@ BanditServer::BanditServer(BanditServer&& other) noexcept
       // and threads caching the source's snapshots must miss here.
       instance_tag_(next_instance_tag()),
       sync_base_(std::move(other.sync_base_)),
+      sync_fused_(std::move(other.sync_fused_)),
       base_obs_count_(other.base_obs_count_.load(std::memory_order_relaxed)),
       observe_batches_(other.observe_batches_.load(std::memory_order_relaxed)),
       sync_count_(other.sync_count_.load(std::memory_order_relaxed)),
@@ -493,7 +494,14 @@ void BanditServer::sync_shards() {
     // Fold each replica's evidence since the last sync into the baseline:
     // fused = base + sum_s (shard_s - base). Passing the baseline keeps the
     // algebra exact across repeated syncs (shared ancestry counted once).
-    core::BanditWare fused = *sync_base_;
+    // The fusion model outlives the sync, so from the second sync on the
+    // copy-assigns reuse its storage and every shard's.
+    if (sync_fused_ == nullptr) {
+      sync_fused_ = std::make_unique<core::BanditWare>(*sync_base_);
+    } else {
+      *sync_fused_ = *sync_base_;
+    }
+    core::BanditWare& fused = *sync_fused_;
     for (const auto& shard : shards_) fused.merge_from(shard->bandit, sync_base_.get());
     for (const auto& shard : shards_) {
       shard->bandit = fused;
@@ -501,7 +509,7 @@ void BanditServer::sync_shards() {
       // lock-free readers flip straight to the fused generation.
       republish_locked(*shard);
     }
-    *sync_base_ = std::move(fused);
+    std::swap(sync_base_, sync_fused_);
     base_obs_count_.store(sync_base_->num_observations(), std::memory_order_relaxed);
     // The baseline moved: any async round staged against the previous
     // generation must abandon at publish (its evidence was folded here).
@@ -512,37 +520,10 @@ void BanditServer::sync_shards() {
 
 void BanditServer::check_shape(const hw::HardwareCatalog& catalog,
                                const std::vector<std::string>& feature_names,
-                               const core::BanditWareConfig& theirs,
+                               const core::BanditWareConfig& config,
                                const std::string& what) const {
-  const core::BanditWareConfig& mine = config_.bandit;
-  const auto require = [&what](bool same, const char* field) {
-    if (!same) throw InvalidArgument(what + ": " + field + " differs from the engine's");
-  };
-  require(catalog.specs() == catalog_.specs(), "catalog");
-  require(feature_names == feature_names_, "feature names");
-  require(theirs.policy_kind == mine.policy_kind, "policy kind");
-  // Only the scalars the kind reads, as in merge_from: the policy
-  // constructors validated those, while a field no policy reads may hold
-  // anything, NaN included, which would not even match itself.
-  switch (mine.policy_kind) {
-    case core::PolicyKind::kEpsilonGreedy:
-      require(theirs.policy.initial_epsilon == mine.policy.initial_epsilon &&
-                  theirs.policy.decay == mine.policy.decay,
-              "exploration schedule");
-      break;
-    case core::PolicyKind::kLinUcb:
-      require(theirs.alpha == mine.alpha, "alpha");
-      break;
-    case core::PolicyKind::kThompson:
-      require(theirs.posterior_scale == mine.posterior_scale, "posterior scale");
-      break;
-  }
-  require(theirs.policy.tolerance.ratio == mine.policy.tolerance.ratio &&
-              theirs.policy.tolerance.seconds == mine.policy.tolerance.seconds,
-          "tolerance");
-  require(theirs.policy.fit.ridge == mine.policy.fit.ridge, "ridge prior");
-  require(theirs.policy.fit.forgetting == mine.policy.fit.forgetting,
-          "forgetting factor");
+  core::check_same_shape({catalog_, feature_names_, config_.bandit},
+                         {catalog, feature_names, config}, what);
 }
 
 void BanditServer::adopt_model(const core::BanditWare& model) {

@@ -414,12 +414,10 @@ class BanditServer {
   BanditServer(BanditServerConfig config, std::vector<core::BanditWare> replicas,
                std::unique_ptr<core::BanditWare> sync_base = nullptr);
 
-  /// The one shape rule for a model this engine serves — every replica,
-  /// the sync baseline, an adopted model, and what a binary snapshot header
-  /// declares: the engine's catalog specs, feature names, policy kind, the
-  /// scalars that kind reads (ε₀ and decay, alpha, or the posterior scale),
-  /// tolerance, ridge prior and forgetting factor. Throws InvalidArgument naming `what`
-  /// and the first field that differs.
+  /// core::check_same_shape against the engine, for a model this engine
+  /// serves — every replica, the sync baseline, an adopted model, and what
+  /// a binary snapshot header declares. Throws InvalidArgument naming
+  /// `what` and the first field that differs.
   void check_shape(const hw::HardwareCatalog& catalog,
                    const std::vector<std::string>& feature_names,
                    const core::BanditWareConfig& config, const std::string& what) const;
@@ -482,6 +480,11 @@ class BanditServer {
   /// Fused state at the last sync (initially the untrained prior).
   /// Guarded by fuse_mutex_.
   std::unique_ptr<core::BanditWare> sync_base_;
+  /// Inline sync's fusion model, kept between syncs and swapped with
+  /// sync_base_ at the end of each: created by the first multi-shard
+  /// sync_shards(), so a 1-shard engine never holds one. Its contents are
+  /// scratch. Guarded by fuse_mutex_.
+  std::unique_ptr<core::BanditWare> sync_fused_;
   /// Observation count of sync_base_, readable without any lock.
   std::atomic<std::size_t> base_obs_count_{0};
   std::atomic<std::uint64_t> observe_batches_{0};  ///< non-empty batches seen

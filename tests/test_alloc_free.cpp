@@ -10,11 +10,16 @@
 //     dirty arms, adopt them in the engine) makes the same small number of
 //     allocations however many origins the fold walks — only the
 //     republished read snapshot and the engine's lock list allocate.
+//   * An inline BanditServer::sync_shards() after the engine's first makes
+//     1 + 2N allocations on N shards at any arm count: the lock list and
+//     each shard's republished read snapshot. The fusion model, every
+//     shard's replica and the merges reuse their storage.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -22,6 +27,7 @@
 #include "fleet/sim.hpp"
 #include "hardware/catalog.hpp"
 #include "linalg/rls.hpp"
+#include "serve/bandit_server.hpp"
 
 namespace {
 
@@ -174,6 +180,62 @@ TEST(AllocFree, RefoldingApplyAllocatesTheSameSmallCountAtAnyOriginCount) {
   // The engine's lock list and the republished snapshot (its plane copy
   // and the shared block that holds it).
   EXPECT_LE(sixteen_origins, 3u);
+}
+
+/// `arms` arms with names short enough that copying one allocates nothing.
+hw::HardwareCatalog synth_catalog(std::size_t arms) {
+  hw::HardwareCatalog catalog;
+  for (std::size_t i = 0; i < arms; ++i) {
+    catalog.add({std::string("S").append(std::to_string(i)), static_cast<int>(1 + i % 8),
+                 8.0 * static_cast<double>(1 + i % 4)});
+  }
+  return catalog;
+}
+
+/// Allocations of one inline sync_shards() on an engine of `shards`
+/// shards over `arms` arms, once every shard has observed on every arm and
+/// one sync has run.
+std::size_t inline_sync_allocations(std::size_t arms, std::size_t shards) {
+  serve::BanditServerConfig config;
+  config.num_shards = shards;
+  config.sharding = serve::ShardingPolicy::kRoundRobin;
+  config.seed = 5;
+  config.bandit.policy.fit.ridge = 1e-3;
+  serve::BanditServer server(synth_catalog(arms), {"num_tasks", "mem_gb"}, config);
+  Rng rng(arms * 100 + shards);
+  const auto feed = [&] {
+    std::vector<serve::ServeObservation> observations;
+    for (std::size_t shard = 0; shard < shards; ++shard) {
+      for (core::ArmIndex arm = 0; arm < arms; ++arm) {
+        const core::FeatureVector x = {rng.uniform(1.0, 10.0), rng.uniform(1.0, 10.0)};
+        const double runtime = 1.0 + x[0] * static_cast<double>(1 + arm % 3) + x[1];
+        observations.push_back({shard, arm, x, runtime});
+      }
+    }
+    server.observe_batch(observations);
+  };
+  feed();
+  server.sync_shards();  // the engine's first sync, and this thread's first merge
+  feed();
+  const std::size_t syncs = server.sync_count();
+  const std::size_t count = allocations_during([&] { server.sync_shards(); });
+  EXPECT_EQ(server.sync_count(), syncs + 1);
+  return count;
+}
+
+TEST(AllocFree, InlineSyncAllocatesOnlyTheLockListAndTheSnapshots) {
+  for (const std::size_t arms : {5, 64}) {
+    for (const std::size_t shards : {2, 4}) {
+      const std::string cell =
+          std::to_string(arms) + "_arms_" + std::to_string(shards) + "_shards";
+      SCOPED_TRACE(cell);
+      const std::size_t count = inline_sync_allocations(arms, shards);
+      RecordProperty("allocations_at_" + cell, static_cast<int>(count));
+      // The engine's lock list, and per shard the republished snapshot (its
+      // plane copy and the shared block that holds it).
+      EXPECT_EQ(count, 1 + 2 * shards);
+    }
+  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the bandit policies (core/arm_model, epsilon_greedy, linucb,
+// Tests for the bandit policies (core/arm_bank, epsilon_greedy, linucb,
 // thompson, baselines).
 
 #include <gtest/gtest.h>
@@ -8,7 +8,7 @@
 #include <memory>
 
 #include "common/error.hpp"
-#include "core/arm_model.hpp"
+#include "core/arm_bank.hpp"
 #include "core/baselines.hpp"
 #include "core/epsilon_greedy.hpp"
 #include "core/linucb.hpp"
@@ -21,42 +21,46 @@ hw::HardwareCatalog three_arms() {
   return hw::HardwareCatalog({{"H0", 2, 16.0}, {"H1", 3, 24.0}, {"H2", 4, 16.0}});
 }
 
-// ---- LinearArmModel ----------------------------------------------------------
+// ---- ArmBank: one RLS arm per hardware arm ------------------------------------
 
-TEST(LinearArmModel, StartsAtPaperInit) {
-  LinearArmModel model(2);
-  EXPECT_EQ(model.predict(std::vector<double>{5.0, 7.0}), 0.0);  // w=0, b=0
-  EXPECT_EQ(model.count(), 0u);
+/// A one-arm bank over `dim` features with the default fit.
+ArmBank one_arm(std::size_t dim) {
+  return ArmBank(hw::HardwareCatalog({{"H0", 2, 16.0}}), dim, {}, {}, {});
 }
 
-TEST(LinearArmModel, LearnsExactLineFromTwoPoints) {
-  LinearArmModel model(1);
-  model.observe(std::vector<double>{1.0}, 10.0);
-  model.observe(std::vector<double>{2.0}, 20.0);
-  EXPECT_NEAR(model.predict(std::vector<double>{3.0}), 30.0, 1e-5);
+TEST(ArmBank, StartsAtPaperInit) {
+  const ArmBank bank = one_arm(2);
+  EXPECT_EQ(bank.predict(0, {5.0, 7.0}), 0.0);  // w=0, b=0
+  EXPECT_EQ(bank.arm(0).n_observations(), 0u);
 }
 
-TEST(LinearArmModel, SingleObservationPredictsNearTarget) {
-  LinearArmModel model(1);
-  model.observe(std::vector<double>{4.0}, 100.0);
-  EXPECT_NEAR(model.predict(std::vector<double>{4.0}), 100.0, 0.1);
+TEST(ArmBank, LearnsExactLineFromTwoPoints) {
+  ArmBank bank = one_arm(1);
+  bank.observe(0, {1.0}, 10.0);
+  bank.observe(0, {2.0}, 20.0);
+  EXPECT_NEAR(bank.predict(0, {3.0}), 30.0, 1e-5);
 }
 
-TEST(LinearArmModel, ResetRestoresZeroState) {
-  LinearArmModel model(1);
-  model.observe(std::vector<double>{1.0}, 5.0);
-  model.reset();
-  EXPECT_EQ(model.count(), 0u);
-  EXPECT_EQ(model.predict(std::vector<double>{1.0}), 0.0);
+TEST(ArmBank, SingleObservationPredictsNearTarget) {
+  ArmBank bank = one_arm(1);
+  bank.observe(0, {4.0}, 100.0);
+  EXPECT_NEAR(bank.predict(0, {4.0}), 100.0, 0.1);
 }
 
-TEST(LinearArmModel, RejectsBadInput) {
-  LinearArmModel model(2);
-  EXPECT_THROW(model.observe(std::vector<double>{1.0}, 1.0), InvalidArgument);
-  EXPECT_THROW(model.observe(std::vector<double>{1.0, std::nan("")}, 1.0),
-               InvalidArgument);
-  EXPECT_THROW(model.observe(std::vector<double>{1.0, 2.0}, INFINITY), InvalidArgument);
-  EXPECT_THROW(LinearArmModel(0), InvalidArgument);
+TEST(ArmBank, ResetRestoresZeroState) {
+  ArmBank bank = one_arm(1);
+  bank.observe(0, {1.0}, 5.0);
+  bank.reset();
+  EXPECT_EQ(bank.arm(0).n_observations(), 0u);
+  EXPECT_EQ(bank.predict(0, {1.0}), 0.0);
+}
+
+TEST(ArmBank, RejectsBadInput) {
+  ArmBank bank = one_arm(2);
+  EXPECT_THROW(bank.observe(0, {1.0}, 1.0), InvalidArgument);
+  EXPECT_THROW(bank.observe(0, {1.0, std::nan("")}, 1.0), InvalidArgument);
+  EXPECT_THROW(bank.observe(0, {1.0, 2.0}, INFINITY), InvalidArgument);
+  EXPECT_THROW(one_arm(0), InvalidArgument);
 }
 
 // ---- DecayingEpsilonGreedy -----------------------------------------------------
@@ -146,7 +150,7 @@ TEST(EpsilonGreedy, ResetRestoresEpsilonAndModels) {
   policy.observe(0, {1.0}, 5.0);
   policy.reset();
   EXPECT_DOUBLE_EQ(policy.epsilon(), 0.7);
-  EXPECT_EQ(policy.arm_model(0).count(), 0u);
+  EXPECT_EQ(policy.arm_model(0).n_observations(), 0u);
 }
 
 TEST(EpsilonGreedy, RejectsBadConfigAndArms) {

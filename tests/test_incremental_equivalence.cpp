@@ -152,7 +152,7 @@ TEST_P(IncrementalEquivalence, PredictionsMatchBatchWithin1e9) {
       // both learners round differently there, so the strict bound kicks
       // in once the arm's Gram matrix is comfortably determined; measured
       // determined-phase disagreement is ~3e-11 (30x margin).
-      const bool determined = incremental.arm_model(arm).count() >= 30;
+      const bool determined = incremental.arm_model(arm).n_observations() >= 30;
       ASSERT_NEAR(incremental.predict(arm, x), exact.predict(arm, x),
                   determined ? 1e-9 : 1e-6)
           << "step " << t << " arm " << arm;
@@ -161,7 +161,7 @@ TEST_P(IncrementalEquivalence, PredictionsMatchBatchWithin1e9) {
   }
 
   for (ArmIndex arm = 0; arm < catalog.size(); ++arm) {
-    EXPECT_EQ(incremental.arm_model(arm).count(), exact.count(arm));
+    EXPECT_EQ(incremental.arm_model(arm).n_observations(), exact.count(arm));
   }
   EXPECT_DOUBLE_EQ(incremental.epsilon(), exact.epsilon());
 }

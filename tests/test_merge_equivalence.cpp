@@ -1,5 +1,5 @@
 // Property tests for cross-model merging via sufficient statistics: fusing
-// two independently trained models (RLS::merge / LinearArmModel::merge /
+// two independently trained models (RLS::merge / ArmBank::merge_arm /
 // BanditWare::merge_from) must reproduce — within 1e-9 — the model that saw
 // both observation streams in one pass under the shared ridge prior. Also
 // pins the shared-ancestry form (merge with an explicit base) that replica
@@ -13,6 +13,7 @@
 #include <iomanip>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -491,9 +492,11 @@ TEST(BanditWareMerge, MismatchedForgettingIsRejected) {
   EXPECT_THROW(a.merge_from(b), InvalidArgument);
 }
 
-TEST(BanditWareMerge, DisjointArmsFormTheUnion) {
-  // Two sites learned different (overlapping) hardware pools; the merged
-  // instance must carry the union, with the shared arm fused exactly.
+TEST(BanditWareMerge, OnlyAModelOfTheSameShapeMerges) {
+  // merge_from fuses arm i with arm i, so a catalog that differs at all —
+  // disjoint, overlapping, or the same specs in another order — and a
+  // different tolerance are rejected, as `other` and as `base`, before
+  // anything changes.
   const std::size_t dim = 2;
   Rng rng(5);
   const Stream s1 = random_stream(50, dim, rng);
@@ -502,41 +505,33 @@ TEST(BanditWareMerge, DisjointArmsFormTheUnion) {
   const std::vector<std::string> features = {"f0", "f1"};
 
   const hw::HardwareCatalog full = hw::ndp_catalog();  // H0, H1, H2
-  hw::HardwareCatalog left;
-  left.add(full[0]);
-  left.add(full[1]);
-  hw::HardwareCatalog right;
-  right.add(full[1]);
-  right.add(full[2]);
+  const auto catalog_of = [&full](std::vector<std::size_t> arms) {
+    hw::HardwareCatalog catalog;
+    for (const std::size_t arm : arms) catalog.add(full[arm]);
+    return catalog;
+  };
+  auto tolerant = config;
+  tolerant.policy.tolerance.ratio = 0.05;
 
-  core::BanditWare merged(left, features, config);
-  core::BanditWare other(right, features, config);
-  core::BanditWare reference(full, features, config);
-  for (std::size_t i = 0; i < s1.size(); ++i) {
-    const auto arm = static_cast<core::ArmIndex>(i % 2);  // H0 or H1
-    merged.observe(arm, s1.xs[i], s1.ys[i] + static_cast<double>(arm));
-    reference.observe(arm, s1.xs[i], s1.ys[i] + static_cast<double>(arm));
-  }
-  for (std::size_t i = 0; i < s2.size(); ++i) {
-    const auto arm = static_cast<core::ArmIndex>(i % 2);  // H1 or H2 in `other`
-    other.observe(arm, s2.xs[i], s2.ys[i] + static_cast<double>(arm));
-    reference.observe(arm + 1, s2.xs[i], s2.ys[i] + static_cast<double>(arm));
-  }
-
-  merged.merge_from(other);
-  ASSERT_EQ(merged.num_arms(), 3u);
-  EXPECT_EQ(merged.catalog()[0].name, full[0].name);
-  EXPECT_EQ(merged.catalog()[1].name, full[1].name);
-  EXPECT_EQ(merged.catalog()[2].name, full[2].name);
-  EXPECT_EQ(merged.num_observations(), s1.size() + s2.size());
-  for (int probe = 0; probe < 8; ++probe) {
-    core::FeatureVector x(dim);
-    for (double& v : x) v = rng.uniform(0.0, 5.0);
-    const auto got = merged.predictions(x);
-    const auto want = reference.predictions(x);
-    for (std::size_t arm = 0; arm < got.size(); ++arm) {
-      EXPECT_NEAR(got[arm], want[arm], kTol) << "arm=" << arm;
-    }
+  core::BanditWare self(catalog_of({0, 1}), features, config);
+  observe_stream(self, s1, 0);
+  // Grown from self and holding more evidence on every arm than any
+  // mismatched model below, so only the shape rule can reject it as base.
+  core::BanditWare peer = self;
+  observe_stream(peer, s2, 0);
+  const std::string before = self.save_state();
+  const std::vector<std::pair<std::string, core::BanditWare>> mismatched = {
+      {"disjoint catalog", core::BanditWare(catalog_of({2}), features, config)},
+      {"overlapping catalog", core::BanditWare(catalog_of({1, 2}), features, config)},
+      {"reordered catalog", core::BanditWare(catalog_of({1, 0}), features, config)},
+      {"other tolerance", core::BanditWare(catalog_of({0, 1}), features, tolerant)},
+  };
+  for (auto [what, other] : mismatched) {
+    observe_stream(other, s2, 0);
+    EXPECT_THROW(self.merge_from(other), InvalidArgument) << what;
+    EXPECT_EQ(self.save_state(), before) << what;
+    EXPECT_THROW(self.merge_from(peer, &other), InvalidArgument) << what << " as base";
+    EXPECT_EQ(self.save_state(), before) << what << " as base";
   }
 }
 

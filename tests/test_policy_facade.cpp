@@ -103,9 +103,9 @@ TEST(PolicyFacade, EpsilonAccessorsAreEpsilonGreedyOnly) {
     EXPECT_EQ(bandit.epsilon(), 0.0) << core::to_string(kind);
     EXPECT_THROW(bandit.policy(), InvalidArgument) << core::to_string(kind);
     // The policy-agnostic accessor works for every kind.
-    EXPECT_EQ(bandit.arm_model(0).count(), 0u);
+    EXPECT_EQ(bandit.arm_model(0).n_observations(), 0u);
     bandit.observe(0, {1.0}, 5.0);
-    EXPECT_EQ(bandit.arm_model(0).count(), 1u);
+    EXPECT_EQ(bandit.arm_model(0).n_observations(), 1u);
     // Non-ε kinds never decay anything on observe.
     EXPECT_EQ(bandit.epsilon(), 0.0);
   }
@@ -130,8 +130,9 @@ TEST(PolicyFacade, InterceptFreeConfigsFailAtConstruction) {
   // arms, for every policy kind and sync mode.
   linalg::FitOptions no_intercept;
   no_intercept.intercept = false;
-  expect_intercept_rejection([&] { (void)core::LinearArmModel(1, no_intercept); },
-                             "LinearArmModel");
+  expect_intercept_rejection(
+      [&] { (void)core::ArmBank(hw::ndp_catalog(), 1, no_intercept, {}, {}); },
+      "ArmBank");
   for (const core::PolicyKind kind : kAllKinds) {
     auto config = config_for(kind);
     config.policy.fit.intercept = false;

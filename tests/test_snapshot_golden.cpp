@@ -220,7 +220,7 @@ void expect_holds_stored(const BanditWare& bandit, const StoredBandit& stored,
     EXPECT_EQ(bandit.epsilon(), stored.epsilon) << what;
   }
   for (ArmIndex arm = 0; arm < bandit.num_arms(); ++arm) {
-    EXPECT_EQ(bandit.arm_model(arm).count(), stored.arms[arm].n) << what;
+    EXPECT_EQ(bandit.arm_model(arm).n_observations(), stored.arms[arm].n) << what;
   }
   for (const FeatureVector& x : probes(bandit.feature_names().size())) {
     const std::vector<double> got = bandit.predictions(x);

@@ -306,7 +306,7 @@ void inspect_bandit(const BanditWare& bandit) {
   for (std::size_t arm = 0; arm < bandit.num_arms(); ++arm) {
     const auto& spec = bandit.catalog()[arm];
     const auto& model = bandit.arm_model(arm);
-    table.add_row({spec.name, spec.to_string(), std::to_string(model.count()),
+    table.add_row({spec.name, spec.to_string(), std::to_string(model.n_observations()),
                    model.model().to_string()});
   }
   std::fputs(table.to_string().c_str(), stdout);
